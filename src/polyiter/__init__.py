@@ -9,7 +9,7 @@ Modules:
   lab       sweeps, reporting, and the cross-module verification suite
 """
 
-from .dynamics import PolyMap, poly_map
+from .dynamics import poly_map
 from .errors import BudgetError
 from .field import FieldParams, field_params, validate_params
 
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetError",
     "FieldParams",
-    "PolyMap",
     "field_params",
     "poly_map",
     "validate_params",

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import curves, dynamics, graphs, lab, recur
+from . import __version__, curves, dynamics, graphs, lab, recur
 from .dynamics import poly_map
 from .errors import BudgetError
 from .report import render_records, write_output
@@ -235,7 +235,7 @@ def _run_sweep(args) -> int:
         "seed": cfg.seed,
         "generator": lab.GENERATOR_NAME,
         "log_base": "e",
-        "version": "0.1.0",
+        "version": __version__,
         "mode": args.mode,
         "summary": summary,
     }

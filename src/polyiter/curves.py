@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import PolyMap, apply_map_to_domain, moment_w
+from .dynamics import _power_table, apply_map_to_domain, moment_w
 from .errors import BudgetError
+from .field import FieldParams
 from .graphs import IterGraph, enumerate_complete_proper
 
 # Largest prime per tuple size; beyond this the chart scans stop being desk scale.
@@ -107,7 +107,7 @@ class ProbeReport:
     verdict: str  # CONSISTENT or SUSPICIOUS
 
 
-def homogeneous_iterate(f: PolyMap, x: int, z: int, level: int) -> int:
+def homogeneous_iterate(f: FieldParams, x: int, z: int, level: int) -> int:
     """F applied level times to (x, z): the degree-d**level homogenization
     of the affine iterate, via F_{i+1} = A*F_i**d + C*z**(d**(i+1))."""
     p = f.p
@@ -119,7 +119,7 @@ def homogeneous_iterate(f: PolyMap, x: int, z: int, level: int) -> int:
     return value
 
 
-def phi_eval(f: PolyMap, spec: PhiSpec, x: int, y: int, z: int) -> int:
+def phi_eval(f: FieldParams, spec: PhiSpec, x: int, y: int, z: int) -> int:
     """Value of the homogenized twisted difference at (x, y, z)."""
     spec.check(f.d)
     p = f.p
@@ -130,29 +130,19 @@ def phi_eval(f: PolyMap, spec: PhiSpec, x: int, y: int, z: int) -> int:
     return (fx - pow(f.gamma, spec.twist, p) * fy) % p
 
 
-@lru_cache(maxsize=64)
-def _infinity_table_cached(p: int, d: int, A: int, level: int):
-    # F^level(x, 0): the constant term drops out, leaving a scaled power map
-    value = np.arange(p, dtype=np.int64)
-    for _ in range(level):
-        acc = np.ones(p, dtype=np.int64)
-        powv = value
-        e = d
-        while e:
-            if e & 1:
-                acc = acc * powv % p
-            powv = powv * powv % p
-            e >>= 1
-        value = A * acc % p
-    value.setflags(write=False)
-    return value
+def _iterate_table(f: FieldParams, level: int, at_infinity: bool) -> np.ndarray:
+    """x -> F^level(x, 1) (affine) or F^level(x, 0) (infinity) for all x.
 
-
-def _iterate_table(f: PolyMap, level: int, at_infinity: bool) -> np.ndarray:
-    """x -> F^level(x, 1) (affine) or F^level(x, 0) (infinity) for all x."""
-    if at_infinity:
-        return _infinity_table_cached(f.p, f.d, f.A, level)
-    return apply_map_to_domain(f, level)
+    At infinity the constant term drops out: F^L(x, 0) = A**((d**L - 1)/(d - 1))
+    * x**(d**L).  The exponent is reduced to (d**L - 1) mod (p - 1) + 1, which
+    is congruent to d**L mod p - 1 and at least 1, so 0 still maps to 0 and
+    level 0 is the identity.
+    """
+    if not at_infinity:
+        return apply_map_to_domain(f, level)
+    p, d = f.p, f.d
+    scale = pow(f.A, (d**level - 1) // (d - 1), p)
+    return scale * _power_table(p, (d**level - 1) % (p - 1) + 1) % p
 
 
 def _check_budget(p: int, k: int) -> None:
@@ -163,7 +153,7 @@ def _check_budget(p: int, k: int) -> None:
 
 
 def _edge_condition(
-    f: PolyMap, xi: int, eta_ab: int, at_infinity: bool
+    f: FieldParams, xi: int, eta_ab: int, at_infinity: bool
 ) -> np.ndarray:
     """Boolean table cond[xa, xb] for one edge equation on a chart."""
     p = f.p
@@ -192,7 +182,7 @@ def _mask_points(mask: np.ndarray) -> frozenset[tuple[int, ...]]:
     return frozenset((1, *map(int, coords)) for coords in np.argwhere(mask))
 
 
-def count_curve_points(f: PolyMap, g: IterGraph) -> ProjectivePointSet:
+def count_curve_points(f: FieldParams, g: IterGraph) -> ProjectivePointSet:
     """Exact projective point set of the variety attached to a labeled graph."""
     k, p = g.k, f.p
     _check_budget(p, k)
@@ -232,7 +222,7 @@ def count_curve_points(f: PolyMap, g: IterGraph) -> ProjectivePointSet:
     return ProjectivePointSet(affine=affine, infinity=frozenset(infinity))
 
 
-def count_cr_points(f: PolyMap, N: int, k: int) -> ProjectivePointSet:
+def count_cr_points(f: FieldParams, N: int, k: int) -> ProjectivePointSet:
     """Exact projective point set of the equal-N-th-iterates system."""
     p = f.p
     _check_budget(p, k)
@@ -258,7 +248,7 @@ def count_cr_points(f: PolyMap, N: int, k: int) -> ProjectivePointSet:
 
 
 def decomposition_check(
-    f: PolyMap, N: int, k: int, enum_cap: int | None = None
+    f: FieldParams, N: int, k: int, enum_cap: int | None = None
 ) -> DecompositionReport:
     """Union of the graph varieties vs the equal-iterates variety.
 
@@ -294,7 +284,7 @@ def decomposition_check(
     )
 
 
-def weil_check(f: PolyMap, g: IterGraph, k: int, N: int) -> WeilReport:
+def weil_check(f: FieldParams, g: IterGraph, k: int, N: int) -> WeilReport:
     """Deviation of the point count from p + 1, in units of sqrt(p)."""
     pts = count_curve_points(f, g)
     deviation = abs(pts.total - (f.p + 1)) / math.sqrt(f.p)
@@ -302,7 +292,7 @@ def weil_check(f: PolyMap, g: IterGraph, k: int, N: int) -> WeilReport:
 
 
 def intersection_check(
-    f: PolyMap, g1: IterGraph, g2: IterGraph, k: int, N: int
+    f: FieldParams, g1: IterGraph, g2: IterGraph, k: int, N: int
 ) -> IntersectionReport:
     """Common points of two distinct graph varieties, with the Bezout-style
     bound, plus a distinctness witness for the full point sets."""
@@ -318,7 +308,7 @@ def intersection_check(
     )
 
 
-def irreducibility_probe(f: PolyMap, r: int, i: int) -> ProbeReport:
+def irreducibility_probe(f: FieldParams, r: int, i: int) -> ProbeReport:
     """Point count of one twisted-difference plane curve against the genus
     bound for an irreducible curve of its degree.  Evidence, not proof."""
     if r < 0:

@@ -22,31 +22,6 @@ DEFAULT_Q_DEGREE_CAP = 16
 
 
 @dataclass(frozen=True)
-class PolyMap:
-    params: FieldParams
-
-    @property
-    def p(self) -> int:
-        return self.params.p
-
-    @property
-    def d(self) -> int:
-        return self.params.d
-
-    @property
-    def A(self) -> int:
-        return self.params.A
-
-    @property
-    def C(self) -> int:
-        return self.params.C
-
-    @property
-    def gamma(self) -> int:
-        return self.params.gamma
-
-
-@dataclass(frozen=True)
 class OrbitSummary:
     """Tail and cycle of the forward orbit of 0."""
 
@@ -84,20 +59,22 @@ class GraphStats:
     max_tail: int
 
 
-def poly_map(p: int, d: int, A: int, C: int) -> PolyMap:
-    return PolyMap(field_params(p, d, A, C))
+def poly_map(p: int, d: int, A: int, C: int) -> FieldParams:
+    """The map f(x) = A*x^d + C, as its validated parameter bundle."""
+    return field_params(p, d, A, C)
 
 
-def eval_map(f: PolyMap, x: int) -> int:
+def eval_map(f: FieldParams, x: int) -> int:
     return (f.A * pow(x % f.p, f.d, f.p) + f.C) % f.p
 
 
-@lru_cache(maxsize=32)
-def _power_table(p: int, d: int) -> np.ndarray:
-    """x -> x**d mod p for all residues, square-and-multiply on arrays."""
+# One entry: sweeps visit every instance of a prime in a row, and a p-length
+# table per slot must not pile up across primes.
+@lru_cache(maxsize=1)
+def _power_table(p: int, e: int) -> np.ndarray:
+    """x -> x**e mod p for all residues, square-and-multiply on arrays."""
     base = np.arange(p, dtype=np.int64)
     result = np.ones(p, dtype=np.int64)
-    e = d
     while e:
         if e & 1:
             result = result * base % p
@@ -107,14 +84,14 @@ def _power_table(p: int, d: int) -> np.ndarray:
     return result
 
 
-def step_table(f: PolyMap) -> np.ndarray:
+def step_table(f: FieldParams) -> np.ndarray:
     """x -> f(x) for every residue, as one vectorized pass."""
     table = (f.A * _power_table(f.p, f.d) + f.C) % f.p
     table.setflags(write=False)
     return table
 
 
-def apply_map_to_domain(f: PolyMap, N: int) -> np.ndarray:
+def apply_map_to_domain(f: FieldParams, N: int) -> np.ndarray:
     """Array of f^N(x) for all x, built by N successive full-domain passes."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
@@ -127,28 +104,33 @@ def apply_map_to_domain(f: PolyMap, N: int) -> np.ndarray:
     return arr
 
 
-def image_size(f: PolyMap, N: int) -> int:
+def image_size(f: FieldParams, N: int) -> int:
     arr = apply_map_to_domain(f, N)
     return int(np.count_nonzero(np.bincount(arr, minlength=f.p)))
 
 
-def preimage_distribution(f: PolyMap, N: int) -> PreimageDistribution:
+def preimage_distribution(f: FieldParams, N: int) -> PreimageDistribution:
     arr = apply_map_to_domain(f, N)
     counts = np.bincount(arr, minlength=f.p)
     counts.setflags(write=False)
     return PreimageDistribution(counts=counts, depth=N)
 
 
-def moment_w(f: PolyMap, N: int, k: int) -> int:
+def moment_w(f: FieldParams, N: int, k: int) -> int:
     """W(N, k) = sum over m of rho_N(m)**k, with 0**0 = 1 (so W(N,0) = p)."""
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    counts = preimage_distribution(f, N).counts
-    # Python ints: counts reach d**N, so counts**k overflows int64 quickly.
-    return sum(int(c) ** k for c in counts)
+    return _power_sum(np.bincount(preimage_distribution(f, N).counts), k)
 
 
-def orbit_of_zero(f: PolyMap) -> OrbitSummary:
+def _power_sum(profile: np.ndarray, k: int) -> int:
+    """sum over m of rho_N(m)**k from the preimage profile n_j = #{m :
+    rho_N(m) = j}, as sum_j n_j * j**k: d**N + 1 terms instead of p.
+    Python ints, since j**k overflows int64 quickly; 0**0 = 1."""
+    return sum(int(n) * j**k for j, n in enumerate(profile))
+
+
+def orbit_of_zero(f: FieldParams) -> OrbitSummary:
     """Brent's scheme: power-of-two teleports find the period, then a
     synchronized scan finds the tail.  Constant memory."""
     power = lam = 1
@@ -171,7 +153,7 @@ def orbit_of_zero(f: PolyMap) -> OrbitSummary:
     return OrbitSummary(tail_len=mu, cycle_len=lam)
 
 
-def check_precondition(f: PolyMap, N: int) -> bool:
+def check_precondition(f: FieldParams, N: int) -> bool:
     """True iff 0, f(0), ..., f^N(0) are pairwise distinct."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
@@ -208,14 +190,14 @@ def q_coeffs(d: int, N: int, degree_cap: int = DEFAULT_Q_DEGREE_CAP) -> tuple[Fr
 
 
 def zero_count_identity(
-    f: PolyMap, N: int, degree_cap: int = DEFAULT_Q_DEGREE_CAP
+    f: FieldParams, N: int, degree_cap: int = DEFAULT_Q_DEGREE_CAP
 ) -> tuple[int, Fraction]:
     """(direct, via_q): unhit residues counted directly, and the same count
     recovered as sum_k C_k * W(N, k).  The contract is via_q == direct."""
-    dist = preimage_distribution(f, N)
-    direct = dist.zero_count()
     coeffs = q_coeffs(f.d, N, degree_cap)
-    moments = [sum(int(c) ** k for c in dist.counts) for k in range(len(coeffs))]
+    profile = np.bincount(preimage_distribution(f, N).counts)
+    direct = int(profile[0])
+    moments = [_power_sum(profile, k) for k in range(len(coeffs))]
     via_q = sum(ck * wk for ck, wk in zip(coeffs, moments))
     return direct, via_q
 
@@ -275,5 +257,5 @@ def _stats_from_table(table: np.ndarray) -> GraphStats:
     )
 
 
-def functional_graph_stats(f: PolyMap) -> GraphStats:
+def functional_graph_stats(f: FieldParams) -> GraphStats:
     return _stats_from_table(step_table(f))

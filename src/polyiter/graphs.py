@@ -21,29 +21,26 @@ from .recur import Partition, u_value
 # Hard cap on raw label assignments per enumeration call.
 ENUMERATION_CAP = 10**7
 
+# (a, b) with a < b  ->  (xi, eta(a, b))
+Labels = dict[tuple[int, int], tuple[int, int]]
+
 
 @dataclass(frozen=True)
 class IterGraph:
     k: int
     r: int
     d: int
-    # (a, b) with a < b  ->  (xi, eta(a, b))
-    edges: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
+    edges: Labels = field(default_factory=dict)
 
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
     def xi(self, a: int, b: int) -> int:
-        return self.edges[(min(a, b), max(a, b))][0]
+        return _xi(self.edges, a, b)
 
     def eta(self, a: int, b: int) -> int:
         """Directed twist on the ordered pair (a, b)."""
-        xi, eta_fwd = self.edges[(min(a, b), max(a, b))]
-        if xi == -1:
-            return 0
-        if a < b:
-            return eta_fwd
-        return (self.d - eta_fwd) % self.d
+        return _eta(self.edges, self.d, a, b)
 
     def with_edge(self, a: int, b: int, xi: int, eta_ab: int) -> "IterGraph":
         """New graph with edge {a,b} added, eta_ab read in the a->b direction."""
@@ -120,17 +117,29 @@ def validate_graph(g: IterGraph) -> bool:
     return graph_violation(g) is None
 
 
-def _triple_ok(g: IterGraph, a: int, b: int, c: int) -> bool:
-    """Conditions for the ordered triple (a, b, c) with all three edges present."""
-    xi_ab, xi_bc, xi_ac = g.xi(a, b), g.xi(b, c), g.xi(a, c)
+def _xi(edges: Labels, a: int, b: int) -> int:
+    return edges[(min(a, b), max(a, b))][0]
+
+
+def _eta(edges: Labels, d: int, a: int, b: int) -> int:
+    """Directed twist on (a, b), derived from the stored a < b twist."""
+    xi, eta_fwd = edges[(min(a, b), max(a, b))]
+    if xi == -1:
+        return 0
+    return eta_fwd if a < b else (d - eta_fwd) % d
+
+
+def _triple_ok(edges: Labels, d: int, a: int, b: int, c: int) -> bool:
+    """Triangle rules for the ordered triple (a, b, c), all three edges labeled."""
+    xi_ab, xi_bc, xi_ac = _xi(edges, a, b), _xi(edges, b, c), _xi(edges, a, c)
     if xi_ab == xi_bc == -1:
         return xi_ac == -1
     if xi_ab < xi_bc:
-        return xi_ac == xi_bc and g.eta(a, c) == g.eta(b, c)
+        return xi_ac == xi_bc and _eta(edges, d, a, c) == _eta(edges, d, b, c)
     if xi_ab == xi_bc and xi_ab >= 0:
-        s = g.eta(a, b) + g.eta(b, c)
-        if s != g.d:
-            return xi_ac == xi_ab and g.eta(a, c) == s % g.d
+        s = _eta(edges, d, a, b) + _eta(edges, d, b, c)
+        if s != d:
+            return xi_ac == xi_ab and _eta(edges, d, a, c) == s % d
         return xi_ac < xi_ab
     return True
 
@@ -139,7 +148,7 @@ def is_proper(g: IterGraph) -> bool:
     """Closure under the triangle rules, over every ordered vertex triple."""
     for a, b, c in permutations(range(1, g.k + 1), 3):
         if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
-            if not _triple_ok(g, a, b, c):
+            if not _triple_ok(g.edges, g.d, a, b, c):
                 return False
     return True
 
@@ -348,29 +357,7 @@ def enumerate_complete_proper(
         ready[max(keys)].append((a, b, c))
 
     out: list[IterGraph] = []
-    labels: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def xi_of(x: int, y: int) -> int:
-        return labels[(min(x, y), max(x, y))][0]
-
-    def eta_of(x: int, y: int) -> int:
-        xi, eta = labels[(min(x, y), max(x, y))]
-        if xi == -1:
-            return 0
-        return eta if x < y else (d - eta) % d
-
-    def triple_ok(a: int, b: int, c: int) -> bool:
-        xi_ab, xi_bc, xi_ac = xi_of(a, b), xi_of(b, c), xi_of(a, c)
-        if xi_ab == xi_bc == -1:
-            return xi_ac == -1
-        if xi_ab < xi_bc:
-            return xi_ac == xi_bc and eta_of(a, c) == eta_of(b, c)
-        if xi_ab == xi_bc and xi_ab >= 0:
-            s = eta_of(a, b) + eta_of(b, c)
-            if s != d:
-                return xi_ac == xi_ab and eta_of(a, c) == s % d
-            return xi_ac < xi_ab
-        return True
+    labels: Labels = {}
 
     def assign(i: int):
         if i == len(pairs):
@@ -379,7 +366,7 @@ def enumerate_complete_proper(
         pair = pairs[i]
         for label in options:
             labels[pair] = label
-            if all(triple_ok(a, b, c) for a, b, c in ready[i]):
+            if all(_triple_ok(labels, d, a, b, c) for a, b, c in ready[i]):
                 assign(i + 1)
         del labels[pair]
 

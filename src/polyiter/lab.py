@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import curves, dynamics, graphs, recur
+from . import __version__, curves, dynamics, graphs, recur
 from .dynamics import poly_map
 from .errors import BudgetError
 from .field import is_prime
@@ -127,7 +127,8 @@ def sweep_theorem(cfg: SweepConfig) -> tuple[list[dict], dict]:
         total_drawn += rejected + len(pairs)
         for A, C in pairs:
             f = poly_map(p, cfg.d, A, C)
-            held = dynamics.check_precondition(f, cfg.N)
+            # pairs were already filtered on the precondition when it is required
+            held = cfg.require_precondition or dynamics.check_precondition(f, cfg.N)
             img = dynamics.image_size(f, cfg.N)
             mu_p = float(mu_n * p)
             records.append({
@@ -573,7 +574,7 @@ def verify_all(desk: bool = True, enum_cap: int | None = None) -> dict:
         except BudgetError as exc:
             results.append(CheckResult("budget", False, str(exc)))
     return {
-        "version": "0.1.0",
+        "version": __version__,
         "desk": desk,
         "ok": all(res.ok for res in results),
         "checks": [

@@ -11,6 +11,7 @@ certified fixed-point interval recursion instead.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,14 +63,12 @@ class Partition:
         return tuple(len(b) for b in self.blocks)
 
     def size_multiset_weight(self) -> int:
-        """S = product of s_n! where s_n counts blocks of size n."""
-        counts: dict[int, int] = {}
-        for n in self.sizes:
-            counts[n] = counts.get(n, 0) + 1
-        out = 1
-        for c in counts.values():
-            out *= math.factorial(c)
-        return out
+        return _multiset_weight(self.sizes)
+
+
+def _multiset_weight(sizes: tuple[int, ...]) -> int:
+    """S = product of s_n! where s_n counts blocks of size n."""
+    return math.prod(math.factorial(c) for c in Counter(sizes).values())
 
 
 def _mu_exact_cap(d: int) -> int:
@@ -248,14 +247,8 @@ def block_size_classes(k: int, t: int) -> list[tuple[tuple[int, ...], int]]:
         if len(parts) == t:
             if remaining == 0:
                 sizes = tuple(parts)
-                s_weight = 1
-                mult: dict[int, int] = {}
-                for n in sizes:
-                    mult[n] = mult.get(n, 0) + 1
-                for c in mult.values():
-                    s_weight *= math.factorial(c)
                 prod_fact = math.prod(math.factorial(n) for n in sizes)
-                count = math.factorial(k) // (s_weight * prod_fact)
+                count = math.factorial(k) // (_multiset_weight(sizes) * prod_fact)
                 classes.append((sizes, count))
             return
         slots_left = t - len(parts)

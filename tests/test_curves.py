@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyiter import curves, dynamics, graphs
 from polyiter.curves import PhiSpec
@@ -312,3 +314,26 @@ def test_budget_guards():
         curves.count_cr_points(f3, 1, 3)
     with pytest.raises(BudgetError):
         curves.count_cr_points(F5, 1, 4)
+
+
+@st.composite
+def infinity_cases(draw):
+    p = draw(st.sampled_from([3, 5, 7, 13, 17, 29, 101]))
+    d = draw(st.sampled_from([d for d in (2, 3, 4, 6) if (p - 1) % d == 0]))
+    A = draw(st.integers(min_value=1, max_value=p - 1))
+    C = draw(st.integers(min_value=0, max_value=p - 1))
+    return poly_map(p, d, A, C), draw(st.integers(min_value=0, max_value=4))
+
+
+# d**L divisible by p - 1: a plain d**L mod (p - 1) exponent would send 0 to 1
+@example(case=(poly_map(5, 4, 3, 1), 1))
+@example(case=(poly_map(5, 2, 2, 4), 2))
+@example(case=(poly_map(3, 2, 2, 1), 1))
+@settings(max_examples=80, deadline=None)
+@given(case=infinity_cases())
+def test_infinity_table_matches_homogeneous_iterate(case):
+    f, level = case
+    table = curves._iterate_table(f, level, at_infinity=True)
+    assert table.tolist() == [
+        curves.homogeneous_iterate(f, x, 0, level) for x in range(f.p)
+    ]

@@ -231,3 +231,34 @@ def test_orbit_matches_hash_oracle(data):
     f = poly_map(p, d, A, C)
     orbit = dynamics.orbit_of_zero(f)
     assert (orbit.tail_len, orbit.cycle_len) == brute_orbit(f)
+
+
+def moment_oracle(f, N, k):
+    """The p-term reference loop: W(N, k) straight from the preimage counts."""
+    return sum(int(c) ** k for c in dynamics.preimage_distribution(f, N).counts)
+
+
+@st.composite
+def small_maps(draw):
+    p = draw(st.sampled_from([5, 7, 13, 17, 29, 97, 101]))
+    d = draw(st.sampled_from([d for d in (2, 3, 4) if (p - 1) % d == 0]))
+    A = draw(st.integers(min_value=1, max_value=p - 1))
+    C = draw(st.integers(min_value=0, max_value=p - 1))
+    return poly_map(p, d, A, C)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=small_maps(), N=st.integers(min_value=0, max_value=3),
+       k=st.integers(min_value=0, max_value=6))
+def test_moment_matches_pointwise_oracle(f, N, k):
+    assert dynamics.moment_w(f, N, k) == moment_oracle(f, N, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=small_maps(), N=st.integers(min_value=0, max_value=3))
+def test_zero_count_identity_matches_pointwise_oracle(f, N):
+    coeffs = dynamics.q_coeffs(f.d, N, degree_cap=64)
+    counts = dynamics.preimage_distribution(f, N).counts
+    direct = int(np.count_nonzero(counts == 0))
+    via_q = sum(c * moment_oracle(f, N, k) for k, c in enumerate(coeffs))
+    assert dynamics.zero_count_identity(f, N, degree_cap=64) == (direct, via_q)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,3 +235,19 @@ def test_random_labelings_round_trip_and_validate(data):
     if graphs.is_proper(g):
         ext = graphs.maximal_extension(g)
         assert graphs.is_proper(ext)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("r", [-1, 0, 1])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_enumeration_equals_filtered_label_space(d, r, k):
+    # pruned backtracking against the full label space filtered by is_proper
+    pairs = [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
+    proper = set()
+    for combo in product(graphs._label_options(r, d), repeat=len(pairs)):
+        g = IterGraph(k=k, r=r, d=d, edges=dict(zip(pairs, combo)))
+        if graphs.is_proper(g):
+            proper.add(g)
+    found = graphs.enumerate_complete_proper(r, k, d)
+    assert len(found) == len(set(found))
+    assert set(found) == proper

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import polyiter
 from polyiter import cli, lab, recur
 from polyiter.report import render_records
 
@@ -136,6 +137,7 @@ def test_mu_v_consistency_fault_injection():
 def test_verify_all_quick_is_green():
     manifest = lab.verify_all(desk=False)
     assert manifest["ok"], [c for c in manifest["checks"] if not c["ok"]]
+    assert manifest["version"] == polyiter.__version__
     names = {c["name"] for c in manifest["checks"]}
     assert {"mu-recursion", "mu-v-consistency", "enumeration-u-match",
             "tree-generation", "moment-identities", "decomposition-geometric",
@@ -229,6 +231,7 @@ def test_cli_sweep_json_metadata(tmp_path):
     assert payload["metadata"]["seed"] == 3
     assert payload["metadata"]["generator"] == lab.GENERATOR_NAME
     assert payload["metadata"]["log_base"] == "e"
+    assert payload["metadata"]["version"] == polyiter.__version__
     assert payload["records"]
 
 
