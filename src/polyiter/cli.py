@@ -144,6 +144,8 @@ def _run_image(args) -> int:
 
 
 def _run_moments(args) -> int:
+    if args.k < 0:
+        raise ValueError("--k must be nonnegative")
     f = poly_map(args.p, args.d, args.A, args.C)
     records = [
         {"p": args.p, "d": args.d, "A": args.A, "C": args.C, "N": args.N,
@@ -185,7 +187,11 @@ def _run_curves(args) -> int:
     f = poly_map(args.p, args.d, args.A, args.C)
     level = args.N - 1 if args.r is None else args.r
     if args.graph is not None:
-        graph_list = [graphs.parse_canonical(args.graph)]
+        g = graphs.parse_canonical(args.graph)
+        violation = graphs.graph_violation(g)
+        if violation is not None:
+            raise ValueError(violation)
+        graph_list = [g]
     else:
         graph_list = graphs.enumerate_complete_proper(level, args.k, args.d)
     records = []

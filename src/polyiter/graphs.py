@@ -310,14 +310,17 @@ def is_tree(g: IterGraph) -> bool:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    if len(seen) != g.k:
-        return False
     # k-1 edges and connected rules out loops; check the chain condition
-    for a in range(1, g.k + 1):
-        for b in range(a + 1, g.k + 1):
-            if not is_potentially_complete(g, tree_path(g, a, b)):
-                return False
-    return True
+    return len(seen) == g.k and _chains_ok(g)
+
+
+def _chains_ok(g: IterGraph) -> bool:
+    """Every vertex pair's chain in the spanning tree g is potentially complete."""
+    return all(
+        is_potentially_complete(g, tree_path(g, a, b))
+        for a in range(1, g.k + 1)
+        for b in range(a + 1, g.k + 1)
+    )
 
 
 def _label_options(r: int, d: int) -> list[tuple[int, int]]:
@@ -400,7 +403,9 @@ def _tree_shapes(k: int) -> list[list[tuple[int, int]]]:
 
 
 def enumerate_trees(r: int, k: int, d: int, cap: int = ENUMERATION_CAP) -> list[IterGraph]:
-    """All labeled spanning trees passing the chain condition."""
+    """All labeled spanning trees passing the chain condition.  Pruefer shapes
+    are spanning trees and every label option is valid, so only the chain
+    condition is checked."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k <= 1:
@@ -415,7 +420,7 @@ def enumerate_trees(r: int, k: int, d: int, cap: int = ENUMERATION_CAP) -> list[
             g = IterGraph(k=k, r=r, d=d)
             for (a, b), (xi, eta) in zip(shape, combo):
                 g = g.with_edge(a, b, xi, eta)
-            if is_tree(g):
+            if _chains_ok(g):
                 out.append(g)
     return out
 

@@ -1,4 +1,5 @@
 import math
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import example, given, settings
@@ -145,39 +146,78 @@ def test_decomposition_depth_two():
         assert report.direct_infinity_count == math.gcd(p - 1, d**2)
 
 
+def naive_points(p, k, satisfied):
+    """Reference projective scan: every (1, *x) and every (0, *x) whose first
+    nonzero coordinate is 1, kept when satisfied(x, z) holds at z = x0."""
+    affine, infinity = set(), set()
+    for coords in iproduct(range(p), repeat=k):
+        if satisfied(coords, 1):
+            affine.add((1, *coords))
+    for lead in range(1, k + 1):
+        prefix = (0,) * (lead - 1) + (1,)
+        for rest in iproduct(range(p), repeat=k - lead):
+            if satisfied(prefix + rest, 0):
+                infinity.add((0, *prefix, *rest))
+    return affine, infinity
+
+
 def test_count_matches_naive_phi_scan():
-    # chart tables against a literal per-point evaluation of every edge form
-    from itertools import product as iproduct
-
-    def naive(f, g):
-        p, k = f.p, g.k
-        affine, infinity = set(), set()
-
-        def satisfied(coords, z):
-            for a, b in g.edge_pairs():
-                xi, eta = g.xi(a, b), g.eta(a, b)
-                spec = curves.PhiSpec(xi, eta) if xi >= 0 else curves.PhiSpec(-1, 0)
-                if curves.phi_eval(f, spec, coords[a - 1], coords[b - 1], z) != 0:
-                    return False
-            return True
-
-        for coords in iproduct(range(p), repeat=k):
-            if satisfied(coords, 1):
-                affine.add((1, *coords))
-        for lead in range(1, k + 1):
-            prefix = (0,) * (lead - 1) + (1,)
-            for rest in iproduct(range(p), repeat=k - lead):
-                if satisfied(prefix + rest, 0):
-                    infinity.add((0, *prefix, *rest))
-        return affine, infinity
-
+    # chart grids against a literal per-point evaluation of every edge form
     for f, k, r in ((poly_map(13, 2, 3, 7), 2, 1), (poly_map(7, 3, 2, 4), 2, 1),
                     (poly_map(13, 4, 5, 2), 2, 0), (poly_map(7, 3, 1, 1), 3, 0)):
         for g in graphs.enumerate_complete_proper(r, k, f.d)[:5]:
+
+            def satisfied(coords, z):
+                for a, b in g.edge_pairs():
+                    xi, eta = g.xi(a, b), g.eta(a, b)
+                    spec = PhiSpec(xi, eta) if xi >= 0 else PhiSpec(-1, 0)
+                    if curves.phi_eval(f, spec, coords[a - 1], coords[b - 1], z) != 0:
+                        return False
+                return True
+
             pts = curves.count_curve_points(f, g)
-            affine, infinity = naive(f, g)
+            affine, infinity = naive_points(f.p, k, satisfied)
             assert set(pts.affine) == affine
             assert set(pts.infinity) == infinity
+
+
+def test_cr_points_match_naive_scan():
+    # full point sets, including the lone (0, 0, ..., 1) point at infinity
+    for f in (F5, poly_map(7, 3, 2, 4), poly_map(13, 4, 5, 2)):
+        for N in (0, 1, 2):
+            for k in (1, 2, 3):
+
+                def satisfied(coords, z):
+                    return len({curves.homogeneous_iterate(f, x, z, N) for x in coords}) == 1
+
+                pts = curves.count_cr_points(f, N, k)
+                affine, infinity = naive_points(f.p, k, satisfied)
+                assert set(pts.affine) == affine, (f.p, N, k)
+                assert set(pts.infinity) == infinity, (f.p, N, k)
+
+
+def test_irreducibility_probe_matches_naive_scan():
+    for f in (F5, F13, poly_map(13, 4, 5, 2), poly_map(7, 3, 2, 4)):
+        for r in (0, 1, 2):
+            for i in range(1, f.d):
+                spec = PhiSpec(r, i)
+                affine, infinity = naive_points(
+                    f.p, 2, lambda xy, z: curves.phi_eval(f, spec, *xy, z) == 0
+                )
+                probe = curves.irreducibility_probe(f, r, i)
+                assert probe.count == len(affine) + len(infinity), (f.p, f.d, r, i)
+
+
+@pytest.mark.parametrize("p, d, N, k, A, C", [
+    (13, 2, 2, 3, 3, 7), (37, 3, 1, 3, 2, 5), (29, 4, 1, 3, 5, 2), (13, 4, 2, 2, 3, 1),
+    (61, 3, 2, 2, 7, 11), (101, 5, 1, 3, 4, 9), (41, 4, 2, 2, 2, 3), (17, 2, 2, 3, 1, 1),
+    (97, 3, 1, 2, 5, 6), (31, 3, 2, 2, 1, 4),
+])
+def test_decomposition_matrix(p, d, N, k, A, C):
+    report = curves.decomposition_check(poly_map(p, d, A, C), N, k)
+    assert report.union_equals_cr and report.affine_equals_w
+    # at x0 = 0 the first coordinate is 1 and the rest solve x**(d**N) = 1
+    assert report.direct_infinity_count == math.gcd(p - 1, d**N) ** (k - 1)
 
 
 def test_decomposition_depth_zero():

@@ -241,6 +241,12 @@ def test_cli_exit_codes():
     # budget exceeded: p above the point-counting cap
     assert cli.main(["curves", "--p", "499", "--d", "2", "--A", "1", "--C", "1",
                      "--N", "1", "--k", "2"]) == 3
+    # invalid configuration: malformed graphs and a negative moment order
+    curves_args = ["curves", "--p", "5", "--d", "2", "--A", "1", "--C", "1"]
+    assert cli.main([*curves_args, "--graph", "2 0 2; 1-3:0,1"]) == 2  # vertex out of range
+    assert cli.main([*curves_args, "--graph", "2 0 2; 1-2:7,1"]) == 2  # level out of range
+    assert cli.main(["moments", "--p", "5", "--d", "2", "--A", "1", "--C", "1",
+                     "--k", "-1"]) == 2
 
 
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):
