@@ -147,6 +147,8 @@ def _iterate_table(f: FieldParams, level: int, at_infinity: bool) -> np.ndarray:
 
 
 def _check_budget(p: int, k: int) -> None:
+    if k < 1:
+        raise ValueError(f"point counting needs k >= 1, got k={k}")
     if k not in MAX_P_BY_K:
         raise BudgetError(f"point counting supports k <= 3, got k={k}")
     if p > MAX_P_BY_K[k]:

@@ -51,7 +51,14 @@ class PreimageDistribution:
 
 @dataclass(frozen=True)
 class GraphStats:
-    """Cycle/tree decomposition summary of the functional graph of f."""
+    """Cycle/tree decomposition summary of the functional graph of f.
+
+    num_cycles: number of distinct cycles.
+    sum_cycle_lengths: number of cyclic vertices (the cycle lengths summed).
+    sum_precyclic_path_lengths: over the in-degree-0 vertices, the sum of
+        each one's distance to its cycle (0 when every vertex is cyclic).
+    max_tail: the largest of those distances, over the same vertices.
+    """
 
     num_cycles: int
     sum_cycle_lengths: int
@@ -203,57 +210,36 @@ def zero_count_identity(
 
 
 def _stats_from_table(table: np.ndarray) -> GraphStats:
-    """Decompose a functional graph given its successor table.
+    """Decompose a functional graph given its successor table, by pointer
+    doubling over whole arrays (Wyllie's list ranking).
 
-    Single pass with an explicit path stack: every vertex is classified as
-    cyclic (distance 0) or assigned its distance to the first cyclic vertex.
+    With L = p.bit_length(), 2**L > p exceeds every tail and covers every
+    cycle.  L self-gathers give hop = f^(2**L), whose image is the cyclic set.
+    A second L rounds sum, over the window x, f(x), ..., f^(2**i - 1)(x), the
+    non-cyclic indicator (the distance to the cycle) and take the least cyclic
+    label, which is its own label at exactly one vertex per cycle.
     """
     p = len(table)
-    UNSEEN, ON_PATH = -1, -2
-    # dist[x] >= 0 once classified; cyclic vertices have dist 0
-    dist = [UNSEEN] * p
-    cyclic = bytearray(p)
-    num_cycles = 0
-    sum_cycle = 0
-    for start in range(p):
-        if dist[start] != UNSEEN:
-            continue
-        path = []
-        x = start
-        while dist[x] == UNSEEN:
-            dist[x] = ON_PATH
-            path.append(x)
-            x = int(table[x])
-        if dist[x] == ON_PATH:
-            # new cycle: from the first occurrence of x on the path to its end
-            cut = path.index(x)
-            cycle_len = len(path) - cut
-            num_cycles += 1
-            sum_cycle += cycle_len
-            for v in path[cut:]:
-                dist[v] = 0
-                cyclic[v] = 1
-            path = path[:cut]
-            base = 0
-        else:
-            base = dist[x]
-        for i, v in enumerate(reversed(path)):
-            dist[v] = base + i + 1
-    indegree = np.bincount(table, minlength=p)
-    sources = np.flatnonzero(indegree == 0)
-    dist_arr = np.asarray(dist, dtype=np.int64)
-    if sources.size:
-        source_dists = dist_arr[sources]
-        sum_pre = int(source_dists.sum())
-        max_tail = int(source_dists.max())
-    else:
-        sum_pre = 0
-        max_tail = 0
+    rounds = p.bit_length()
+    hop = table
+    for _ in range(rounds):
+        hop = hop[hop]
+    cyclic = np.zeros(p, dtype=bool)
+    cyclic[hop] = True
+    labels = np.arange(p)
+    dist = (~cyclic).astype(np.int64)
+    low = np.where(cyclic, labels, p)
+    hop = table
+    for _ in range(rounds):
+        dist += dist[hop]
+        low = np.minimum(low, low[hop])
+        hop = hop[hop]
+    tails = dist[np.bincount(table, minlength=p) == 0]
     return GraphStats(
-        num_cycles=num_cycles,
-        sum_cycle_lengths=sum_cycle,
-        sum_precyclic_path_lengths=sum_pre,
-        max_tail=max_tail,
+        num_cycles=int(np.count_nonzero(low == labels)),
+        sum_cycle_lengths=int(np.count_nonzero(cyclic)),
+        sum_precyclic_path_lengths=int(tails.sum()),
+        max_tail=int(tails.max(initial=0)),
     )
 
 

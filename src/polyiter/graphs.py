@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 
 from .errors import BudgetError
-from .recur import Partition, u_value
+from .recur import Partition, check_degree_level, u_value
 
 # Hard cap on raw label assignments per enumeration call.
 ENUMERATION_CAP = 10**7
@@ -341,6 +341,7 @@ def enumerate_complete_proper(
     fully-labeled triangle breaks the triangle rules, so the cap guards the
     raw label space rather than visited nodes.
     """
+    check_degree_level(d, r)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k <= 1:
@@ -406,6 +407,7 @@ def enumerate_trees(r: int, k: int, d: int, cap: int = ENUMERATION_CAP) -> list[
     """All labeled spanning trees passing the chain condition.  Pruefer shapes
     are spanning trees and every label option is valid, so only the chain
     condition is checked."""
+    check_degree_level(d, r)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k <= 1:

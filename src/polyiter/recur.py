@@ -163,6 +163,14 @@ def _convolve(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fractio
     return tuple(out)
 
 
+def check_degree_level(d: int, r: int) -> None:
+    """Refuse a degree below 2 or a graph level below -1 with ValueError."""
+    if d < 2:
+        raise ValueError("degree must be at least 2")
+    if r < -1:
+        raise ValueError("level must be at least -1")
+
+
 @lru_cache(maxsize=None)
 def e_coeffs(d: int, r: int, table_cap: int = COEFF_TABLE_CAP) -> CoeffTable:
     """Coefficient vector of the level-r exponential series.
@@ -171,10 +179,7 @@ def e_coeffs(d: int, r: int, table_cap: int = COEFF_TABLE_CAP) -> CoeffTable:
     d-fold exponent convolution of the previous vector, divided by d, with
     (d-1)/d added at index 0.
     """
-    if d < 2:
-        raise ValueError("degree must be at least 2")
-    if r < -1:
-        raise ValueError("level must be at least -1")
+    check_degree_level(d, r)
     if d ** (r + 1) > table_cap:
         raise BudgetError(f"coefficient table size d**{r + 1} exceeds cap {table_cap}")
     if r == -1:
@@ -192,6 +197,7 @@ def e_coeffs(d: int, r: int, table_cap: int = COEFF_TABLE_CAP) -> CoeffTable:
 def u_value(d: int, r: int, k: int) -> int:
     """Number of complete proper labeled graphs at level r on k vertices,
     recovered as the k-th power moment of the coefficient table."""
+    check_degree_level(d, r)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if r == -1:

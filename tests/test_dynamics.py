@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyiter import dynamics
@@ -262,3 +262,98 @@ def test_zero_count_identity_matches_pointwise_oracle(f, N):
     direct = int(np.count_nonzero(counts == 0))
     via_q = sum(c * moment_oracle(f, N, k) for k, c in enumerate(coeffs))
     assert dynamics.zero_count_identity(f, N, degree_cap=64) == (direct, via_q)
+
+
+def graph_stats_oracle(table):
+    """The path-stack reference loop for _stats_from_table.
+
+    Single pass with an explicit path stack: every vertex is classified as
+    cyclic (distance 0) or assigned its distance to the first cyclic vertex.
+    """
+    p = len(table)
+    UNSEEN, ON_PATH = -1, -2
+    # dist[x] >= 0 once classified; cyclic vertices have dist 0
+    dist = [UNSEEN] * p
+    cyclic = bytearray(p)
+    num_cycles = 0
+    sum_cycle = 0
+    for start in range(p):
+        if dist[start] != UNSEEN:
+            continue
+        path = []
+        x = start
+        while dist[x] == UNSEEN:
+            dist[x] = ON_PATH
+            path.append(x)
+            x = int(table[x])
+        if dist[x] == ON_PATH:
+            # new cycle: from the first occurrence of x on the path to its end
+            cut = path.index(x)
+            cycle_len = len(path) - cut
+            num_cycles += 1
+            sum_cycle += cycle_len
+            for v in path[cut:]:
+                dist[v] = 0
+                cyclic[v] = 1
+            path = path[:cut]
+            base = 0
+        else:
+            base = dist[x]
+        for i, v in enumerate(reversed(path)):
+            dist[v] = base + i + 1
+    indegree = np.bincount(table, minlength=p)
+    sources = np.flatnonzero(indegree == 0)
+    dist_arr = np.asarray(dist, dtype=np.int64)
+    if sources.size:
+        source_dists = dist_arr[sources]
+        sum_pre = int(source_dists.sum())
+        max_tail = int(source_dists.max())
+    else:
+        sum_pre = 0
+        max_tail = 0
+    return dynamics.GraphStats(
+        num_cycles=num_cycles,
+        sum_cycle_lengths=sum_cycle,
+        sum_precyclic_path_lengths=sum_pre,
+        max_tail=max_tail,
+    )
+
+
+@st.composite
+def successor_tables(draw):
+    """Random maps, random permutations, the constant map, the identity and
+    polynomial step tables."""
+    kind = draw(st.sampled_from(["map", "permutation", "constant", "identity", "poly"]))
+    if kind == "poly":
+        return dynamics.step_table(draw(small_maps()))
+    p = draw(st.integers(min_value=1, max_value=300))
+    if kind == "map":
+        values = draw(st.lists(st.integers(0, p - 1), min_size=p, max_size=p))
+    elif kind == "permutation":
+        values = draw(st.permutations(range(p)))
+    elif kind == "constant":
+        values = [draw(st.integers(0, p - 1))] * p
+    else:
+        values = range(p)
+    return np.array(values, dtype=np.int64)
+
+
+def _cycle(p):
+    return (np.arange(p, dtype=np.int64) + 1) % p
+
+
+def _tail_into_fixed_point(p):
+    # p-1 -> p-2 -> ... -> 0 -> 0: one tail of length p - 1
+    return np.maximum(np.arange(p, dtype=np.int64) - 1, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=successor_tables())
+@example(table=_cycle(5))
+@example(table=_cycle(17))
+@example(table=_cycle(33))
+@example(table=_tail_into_fixed_point(5))
+@example(table=_tail_into_fixed_point(64))
+@example(table=_tail_into_fixed_point(300))
+def test_graph_stats_match_path_stack_oracle(table):
+    assert dynamics._stats_from_table(table) == graph_stats_oracle(table)

@@ -247,6 +247,15 @@ def test_cli_exit_codes():
     assert cli.main([*curves_args, "--graph", "2 0 2; 1-2:7,1"]) == 2  # level out of range
     assert cli.main(["moments", "--p", "5", "--d", "2", "--A", "1", "--C", "1",
                      "--k", "-1"]) == 2
+    # invalid configuration: no coordinates to count points on
+    assert cli.main([*curves_args, "--N", "1", "--k", "0"]) == 2
+    assert cli.main(["decomp", "--p", "5", "--d", "2", "--A", "1", "--C", "1",
+                     "--N", "1", "--k", "0"]) == 2
+    # invalid configuration: degree below 2 or level below -1
+    assert cli.main(["ucount", "--d", "1", "--r", "-1", "--k", "3"]) == 2
+    assert cli.main(["enum-graphs", "--d", "1", "--r", "0", "--k", "2"]) == 2
+    assert cli.main(["enum-graphs", "--d", "2", "--r", "-3", "--k", "2"]) == 2
+    assert cli.main(["enum-graphs", "--d", "2", "--r", "-3", "--k", "2", "--trees"]) == 2
 
 
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):
