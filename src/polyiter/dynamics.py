@@ -79,14 +79,14 @@ def eval_map(f: FieldParams, x: int) -> int:
 # table per slot must not pile up across primes.
 @lru_cache(maxsize=1)
 def _power_table(p: int, e: int) -> np.ndarray:
-    """x -> x**e mod p for all residues, square-and-multiply on arrays."""
+    """x -> x**e mod p for all residues, for e >= 1: left-to-right
+    square-and-multiply on arrays."""
     base = np.arange(p, dtype=np.int64)
-    result = np.ones(p, dtype=np.int64)
-    while e:
-        if e & 1:
+    result = base
+    for bit in bin(e)[3:]:
+        result = result * result % p
+        if bit == "1":
             result = result * base % p
-        base = base * base % p
-        e >>= 1
     result.setflags(write=False)
     return result
 
@@ -99,16 +99,21 @@ def step_table(f: FieldParams) -> np.ndarray:
 
 
 def apply_map_to_domain(f: FieldParams, N: int) -> np.ndarray:
-    """Array of f^N(x) for all x, built by N successive full-domain passes."""
+    """Array of f^N(x) for all x, by binary powering of the step table:
+    floor(log2 N) + popcount(N) full-domain gathers."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
     arr = np.arange(f.p, dtype=np.int64)
     if N == 0:
         return arr
     table = step_table(f)
-    for _ in range(N):
-        arr = table[arr]
-    return arr
+    while True:
+        if N & 1:
+            arr = table[arr]
+        N >>= 1
+        if not N:
+            return arr
+        table = table[table]
 
 
 def image_size(f: FieldParams, N: int) -> int:

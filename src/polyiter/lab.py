@@ -43,8 +43,6 @@ class SweepConfig:
     policy: str = "random"  # "all" or "random"
     seed: int = 0
     require_precondition: bool = False
-    # when set, the proof-internal image bound is asserted for p at or above it
-    v2_assert_min_p: int | None = None
 
     def validate(self) -> None:
         if self.d < 2:
@@ -190,8 +188,8 @@ def graph_sweep(cfg: SweepConfig) -> tuple[list[dict], dict]:
     """Functional-graph statistics per instance with the corollary bounds.
 
     The two bounds and the proof-internal image limit are evaluated and
-    flagged on every record; nothing is asserted unless the config sets
-    v2_assert_min_p (small primes routinely fail the asymptotic bounds).
+    flagged on every record and never asserted: small primes routinely fail
+    the asymptotic bounds.
     """
     cfg.validate()
     records = []
@@ -207,11 +205,6 @@ def graph_sweep(cfg: SweepConfig) -> tuple[list[dict], dict]:
             stats = dynamics.functional_graph_stats(f)
             image_n0 = dynamics.image_size(f, n0)
             v2_ok = image_n0 < v2_limit
-            if cfg.v2_assert_min_p is not None and p >= cfg.v2_assert_min_p and not v2_ok:
-                raise RuntimeError(
-                    f"image bound violated at p={p}, A={A}, C={C}: "
-                    f"{image_n0} >= {v2_limit}"
-                )
             records.append({
                 "p": p, "d": cfg.d, "A": A, "C": C,
                 "num_cycles": stats.num_cycles,

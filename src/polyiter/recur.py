@@ -3,9 +3,9 @@ bounds, the exponential-series coefficient tables v(r, m), the labeled-graph
 counts U(r, k) they encode, and the set-partition recursion tying levels
 together.
 
-Everything here is Fraction arithmetic; denominators grow roughly like
-d**(d**r), so exact levels are capped and large-r questions go through a
-certified fixed-point interval recursion instead.
+Everything here is exact integer or Fraction arithmetic; denominators grow
+roughly like d**(d**r), so exact levels are capped and large-r questions go
+through a certified fixed-point interval recursion instead.
 """
 
 from __future__ import annotations
@@ -152,17 +152,6 @@ def q_increment_check(d: int, R: int) -> bool:
     return all(1 / mus[r + 1] - 1 / mus[r] >= half for r in range(R))
 
 
-def _convolve(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return tuple(out)
-
-
 def check_degree_level(d: int, r: int) -> None:
     """Refuse a degree below 2 or a graph level below -1 with ValueError."""
     if d < 2:
@@ -172,25 +161,33 @@ def check_degree_level(d: int, r: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def e_coeffs(d: int, r: int, table_cap: int = COEFF_TABLE_CAP) -> CoeffTable:
+def e_coeffs(d: int, r: int) -> CoeffTable:
     """Coefficient vector of the level-r exponential series.
 
     Level -1 is the bare exponential (v[1] = 1).  Each later level is the
     d-fold exponent convolution of the previous vector, divided by d, with
     (d-1)/d added at index 0.
+
+    The levels are integer numerators num over one common denominator den,
+    which grows as den -> d * den**d.  The self-convolution is one big-int
+    power by Kronecker substitution: num is packed into an int with a slot of
+    width bytes per coefficient, raised to the d, and unpacked.  The slots
+    never carry: the numerators are nonnegative and sum to den, so every
+    coefficient of the power is at most den**d, which fits in width bytes.
     """
     check_degree_level(d, r)
-    if d ** (r + 1) > table_cap:
-        raise BudgetError(f"coefficient table size d**{r + 1} exceeds cap {table_cap}")
-    if r == -1:
-        return CoeffTable(d=d, r=r, v=(Fraction(0), Fraction(1)))
-    prev = e_coeffs(d, r - 1, table_cap).v
-    power = prev
-    for _ in range(d - 1):
-        power = _convolve(power, prev)
-    v = [c / d for c in power]
-    v[0] += Fraction(d - 1, d)
-    return CoeffTable(d=d, r=r, v=tuple(v))
+    if d ** (r + 1) > COEFF_TABLE_CAP:
+        raise BudgetError(f"coefficient table size d**{r + 1} exceeds cap {COEFF_TABLE_CAP}")
+    num, den = [0, 1], 1
+    for _ in range(r + 1):
+        den_d = den**d
+        width = (den_d.bit_length() + 7) // 8
+        packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in num), "little")
+        raw = (packed**d).to_bytes(width * (d * (len(num) - 1) + 1), "little")
+        num = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+        num[0] += (d - 1) * den_d
+        den = d * den_d
+    return CoeffTable(d=d, r=r, v=tuple(Fraction(c, den) for c in num))
 
 
 @lru_cache(maxsize=None)

@@ -37,6 +37,48 @@ def test_apply_map_to_domain():
     assert dynamics.apply_map_to_domain(F5, 2).tolist() == [2, 0, 1, 1, 0]
 
 
+def apply_map_oracle(f, N):
+    """The reference loop: N successive full-domain passes of the step table."""
+    arr = np.arange(f.p, dtype=np.int64)
+    table = dynamics.step_table(f)
+    for _ in range(N):
+        arr = table[arr]
+    return arr
+
+
+PRIMES_TO_200 = [q for q in range(3, 201) if all(q % i for i in range(2, q))]
+
+
+@st.composite
+def maps_to_200(draw):
+    p = draw(st.sampled_from(PRIMES_TO_200))
+    d = draw(st.sampled_from([d for d in (2, 3, 4, 5, 6) if (p - 1) % d == 0]))
+    A = draw(st.integers(min_value=1, max_value=p - 1))
+    C = draw(st.integers(min_value=0, max_value=p - 1))
+    return poly_map(p, d, A, C)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=maps_to_200(), N=st.integers(min_value=0, max_value=3000))
+@example(f=F5, N=0)
+@example(f=F5, N=1)
+@example(f=poly_map(199, 2, 1, 1), N=2048)
+@example(f=poly_map(199, 2, 1, 1), N=2047)
+@example(f=poly_map(197, 4, 3, 5), N=3000)
+def test_apply_map_matches_pass_loop(f, N):
+    assert dynamics.apply_map_to_domain(f, N).tolist() == apply_map_oracle(f, N).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(min_value=1, max_value=150))
+@example(p=1)
+@example(p=2)
+@example(p=101)
+def test_power_table_matches_builtin_pow(p):
+    for e in range(1, 2 * p + 1):
+        assert dynamics._power_table(p, e).tolist() == [pow(x, e, p) for x in range(p)]
+
+
 def test_image_size():
     assert dynamics.image_size(F5, 1) == 3
     assert dynamics.image_size(F5, 0) == 5

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -96,6 +97,42 @@ def test_e_coeffs_invariants():
             assert table.v[0] == (d - 1 + v0_prev**d) / d
             assert mus[r + 1] == 1 - table.v[0]
             v0_prev = table.v[0]
+
+
+def _convolve(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            if bj:
+                out[i + j] += ai * bj
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def e_coeffs_oracle(d: int, r: int) -> tuple[Fraction, ...]:
+    """The reference recursion: level r is the d-fold Fraction convolution of
+    level r-1, divided by d, with (d-1)/d added at index 0."""
+    if r == -1:
+        return (Fraction(0), Fraction(1))
+    prev = e_coeffs_oracle(d, r - 1)
+    power = prev
+    for _ in range(d - 1):
+        power = _convolve(power, prev)
+    v = [c / d for c in power]
+    v[0] += Fraction(d - 1, d)
+    return tuple(v)
+
+
+def test_e_coeffs_match_convolution_oracle():
+    # every (d, r) with d**(r+1) <= 512 (d = 2 reaches r = 8), plus two
+    # tables at the cap with large d
+    cases = [(d, r) for d in range(2, 513) for r in range(-1, 9) if d ** (r + 1) <= 512]
+    for d, r in cases + [(64, 1), (4096, 0)]:
+        table = recur.e_coeffs(d, r)
+        assert (table.d, table.r) == (d, r)
+        assert table.v == e_coeffs_oracle(d, r), (d, r)
 
 
 def test_e_coeffs_cap():
