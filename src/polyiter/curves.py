@@ -1,9 +1,10 @@
 """Brute-force point counts on the projective varieties cut out by iterate
 equations.  One kernel serves every count: each chart (x0 = 1 and x0 = 0) is
 a single (p,)*k boolean grid, the AND of the equations broadcast over
-whole-domain iterate tables, and the points at infinity are read off slices
-whose first nonzero coordinate is 1.  Exactness over cleverness; budget
-guards keep the grids at desk scale.
+whole-domain iterate tables, and the points at infinity are the slices
+whose first nonzero coordinate is 1.  A point set is its chart masks, so
+union is OR, intersection is AND and counts are count_nonzero.  Exactness
+over cleverness; budget guards keep the grids at desk scale.
 """
 
 from __future__ import annotations
@@ -22,44 +23,49 @@ from .graphs import IterGraph, enumerate_complete_proper
 MAX_P_BY_K = {1: 211, 2: 211, 3: 101}
 
 
-@dataclass(frozen=True)
-class PhiSpec:
-    """Which factor of the iterate difference: level >= 0 with a twist in
-    [1, d-1], or level -1 (the plain difference) with twist 0."""
-
-    level: int
-    twist: int
-
-    def check(self, d: int) -> None:
-        if self.level == -1:
-            if self.twist != 0:
-                raise ValueError("level -1 requires twist 0")
-        elif self.level >= 0:
-            if not (1 <= self.twist <= d - 1):
-                raise ValueError(f"twist must be in [1, {d - 1}] for level >= 0")
-        else:
-            raise ValueError("level must be >= -1")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectivePointSet:
-    affine: frozenset[tuple[int, ...]]
-    infinity: frozenset[tuple[int, ...]]
+    """A projective point set held as its two chart masks.
+
+    affine: the x0 = 1 grid, shape (p,)*k; cell x is the point (1, *x).
+    infinity: the x0 = 0 points whose first nonzero coordinate is 1, as one
+    flat mask: the slices grid[0, ..., 0, 1] with lead = 1..k indices
+    (p**(k-lead) cells each), raveled and concatenated in lead order.
+
+    Union is an in-place OR (|=), intersection is AND (&), equality is
+    array_equal and counts are count_nonzero.
+    """
+
+    affine: np.ndarray
+    infinity: np.ndarray
 
     @property
     def affine_count(self) -> int:
-        return len(self.affine)
+        return int(np.count_nonzero(self.affine))
 
     @property
     def infinity_count(self) -> int:
-        return len(self.infinity)
+        return int(np.count_nonzero(self.infinity))
 
     @property
     def total(self) -> int:
         return self.affine_count + self.infinity_count
 
-    def all_points(self) -> frozenset[tuple[int, ...]]:
-        return self.affine | self.infinity
+    def __and__(self, other: ProjectivePointSet) -> ProjectivePointSet:
+        return ProjectivePointSet(self.affine & other.affine, self.infinity & other.infinity)
+
+    def __ior__(self, other: ProjectivePointSet) -> ProjectivePointSet:
+        np.logical_or(self.affine, other.affine, out=self.affine)
+        np.logical_or(self.infinity, other.infinity, out=self.infinity)
+        return self
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProjectivePointSet):
+            return NotImplemented
+        return bool(
+            np.array_equal(self.affine, other.affine)
+            and np.array_equal(self.infinity, other.infinity)
+        )
 
 
 @dataclass(frozen=True)
@@ -108,29 +114,6 @@ class ProbeReport:
     verdict: str  # CONSISTENT or SUSPICIOUS
 
 
-def homogeneous_iterate(f: FieldParams, x: int, z: int, level: int) -> int:
-    """F applied level times to (x, z): the degree-d**level homogenization
-    of the affine iterate, via F_{i+1} = A*F_i**d + C*z**(d**(i+1))."""
-    p = f.p
-    value = x % p
-    zpow = z % p
-    for _ in range(level):
-        zpow = pow(zpow, f.d, p)
-        value = (f.A * pow(value, f.d, p) + f.C * zpow) % p
-    return value
-
-
-def phi_eval(f: FieldParams, spec: PhiSpec, x: int, y: int, z: int) -> int:
-    """Value of the homogenized twisted difference at (x, y, z)."""
-    spec.check(f.d)
-    p = f.p
-    if spec.level == -1:
-        return (x - y) % p
-    fx = homogeneous_iterate(f, x, z, spec.level)
-    fy = homogeneous_iterate(f, y, z, spec.level)
-    return (fx - pow(f.gamma, spec.twist, p) * fy) % p
-
-
 def _iterate_table(f: FieldParams, level: int, at_infinity: bool) -> np.ndarray:
     """x -> F^level(x, 1) (affine) or F^level(x, 0) (infinity) for all x.
 
@@ -162,7 +145,7 @@ def _variety(
     F^level(x_b), one (a, b, level, twist) tuple with a < b per equation.
 
     Each chart is one (p,)*k boolean grid: the AND of every equation's table,
-    broadcast onto its two axes.  The affine points are the x0 = 1 grid.  On
+    broadcast onto its two axes.  The affine mask is the x0 = 1 grid.  On
     x0 = 0 the points whose first nonzero coordinate is the 1 at position
     lead are the slice grid[0, ..., 0, 1] (lead indices; 0-d when lead == k).
     """
@@ -184,11 +167,10 @@ def _variety(
             grid &= cond.reshape(shape)
         grids.append(grid)
     affine, infinity = grids
-    leads = [(0,) * (lead - 1) + (1,) for lead in range(1, k + 1)]
     return ProjectivePointSet(
-        affine=frozenset((1, *map(int, x)) for x in np.argwhere(affine)),
-        infinity=frozenset(
-            (0, *head, *map(int, x)) for head in leads for x in np.argwhere(infinity[head])
+        affine=affine,
+        infinity=np.concatenate(
+            [infinity[(0,) * (lead - 1) + (1,)].ravel() for lead in range(1, k + 1)]
         ),
     )
 
@@ -210,9 +192,7 @@ def count_cr_points(f: FieldParams, N: int, k: int) -> ProjectivePointSet:
     return _variety(f, k, [(1, b, N, 0) for b in range(2, k + 1)])
 
 
-def decomposition_check(
-    f: FieldParams, N: int, k: int, enum_cap: int | None = None
-) -> DecompositionReport:
+def decomposition_check(f: FieldParams, N: int, k: int) -> DecompositionReport:
     """Union of the graph varieties vs the equal-iterates variety.
 
     Asserted: the union is exactly the big variety, and its affine part is
@@ -224,11 +204,11 @@ def decomposition_check(
     """
     if N < 0:
         raise ValueError("decomposition needs N >= 0 (graphs live at level N-1)")
-    kwargs = {} if enum_cap is None else {"cap": enum_cap}
-    graph_list = enumerate_complete_proper(N - 1, k, f.d, **kwargs)
-    union: set[tuple[int, ...]] = set()
-    for g in graph_list:
-        union |= count_curve_points(f, g).all_points()
+    first, *rest = enumerate_complete_proper(N - 1, k, f.d)
+    # a running in-place OR: one pair of masks, never one per graph
+    union = count_curve_points(f, first)
+    for g in rest:
+        union |= count_curve_points(f, g)
     cr = count_cr_points(f, N, k)
     w = moment_w(f, N, k)
     gcd_val = math.gcd(f.p - 1, f.d**N)
@@ -238,19 +218,21 @@ def decomposition_check(
         d=f.d,
         N=N,
         k=k,
-        union_total=len(union),
+        union_total=union.total,
         cr_total=cr.total,
         cr_affine=cr.affine_count,
         w_value=w,
         formula_infinity_term=formula_term,
         direct_infinity_count=cr.infinity_count,
-        union_equals_cr=union == set(cr.all_points()),
+        union_equals_cr=union == cr,
         affine_equals_w=cr.affine_count == w,
     )
 
 
 def weil_check(f: FieldParams, g: IterGraph, k: int, N: int) -> WeilReport:
     """Deviation of the point count from p + 1, in units of sqrt(p)."""
+    if g.k != k:
+        raise ValueError(f"graph has k={g.k}, expected k={k}")
     pts = count_curve_points(f, g)
     deviation = abs(pts.total - (f.p + 1)) / math.sqrt(f.p)
     return WeilReport(total=pts.total, deviation=deviation, bound=f.d ** (2 * k * N))
@@ -261,13 +243,15 @@ def intersection_check(
 ) -> IntersectionReport:
     """Common points of two distinct graph varieties, with the Bezout-style
     bound, plus a distinctness witness for the full point sets."""
+    if not g1.k == g2.k == k:
+        raise ValueError(f"graphs have k={g1.k} and k={g2.k}, expected k={k}")
     if g1 == g2:
         raise ValueError("intersection check needs two distinct graphs")
-    pts1 = count_curve_points(f, g1).all_points()
-    pts2 = count_curve_points(f, g2).all_points()
-    sets_differ = pts1 != pts2 if (pts1 and pts2) else True
+    pts1 = count_curve_points(f, g1)
+    pts2 = count_curve_points(f, g2)
+    sets_differ = pts1 != pts2 if (pts1.total and pts2.total) else True
     return IntersectionReport(
-        common=len(pts1 & pts2),
+        common=(pts1 & pts2).total,
         bound=f.d ** (2 * k * N),
         sets_differ=sets_differ,
     )
@@ -280,7 +264,8 @@ def irreducibility_probe(f: FieldParams, r: int, i: int) -> ProbeReport:
         raise ValueError("probe level must be nonnegative")
     p = f.p
     _check_budget(p, 2)  # refuse an over-budget p before judging the twist
-    PhiSpec(level=r, twist=i).check(f.d)
+    if not 1 <= i <= f.d - 1:
+        raise ValueError(f"twist must be in [1, {f.d - 1}] for level >= 0")
     count = _variety(f, 2, [(1, 2, r, i)]).total
     degree = f.d**r
     bound = (degree - 1) * (degree - 2) * math.sqrt(p)

@@ -332,9 +332,7 @@ def _label_options(r: int, d: int) -> list[tuple[int, int]]:
     return options
 
 
-def enumerate_complete_proper(
-    r: int, k: int, d: int, cap: int = ENUMERATION_CAP
-) -> list[IterGraph]:
+def enumerate_complete_proper(r: int, k: int, d: int) -> list[IterGraph]:
     """All complete proper labelings on k vertices at level r.
 
     Backtracks over edges in lexicographic pair order, pruning as soon as a
@@ -348,9 +346,9 @@ def enumerate_complete_proper(
         return [IterGraph(k=k, r=r, d=d)]
     pairs = [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
     options = _label_options(r, d)
-    if len(options) ** len(pairs) > cap:
+    if len(options) ** len(pairs) > ENUMERATION_CAP:
         raise BudgetError(
-            f"label space {len(options)}**{len(pairs)} exceeds enumeration cap {cap}"
+            f"label space {len(options)}**{len(pairs)} exceeds enumeration cap {ENUMERATION_CAP}"
         )
     index = {pair: i for i, pair in enumerate(pairs)}
     # triangles checkable once pair i is labeled: both other edges come earlier
@@ -403,7 +401,7 @@ def _tree_shapes(k: int) -> list[list[tuple[int, int]]]:
     return shapes
 
 
-def enumerate_trees(r: int, k: int, d: int, cap: int = ENUMERATION_CAP) -> list[IterGraph]:
+def enumerate_trees(r: int, k: int, d: int) -> list[IterGraph]:
     """All labeled spanning trees passing the chain condition.  Pruefer shapes
     are spanning trees and every label option is valid, so only the chain
     condition is checked."""
@@ -414,8 +412,8 @@ def enumerate_trees(r: int, k: int, d: int, cap: int = ENUMERATION_CAP) -> list[
         return [IterGraph(k=k, r=r, d=d)]
     shapes = _tree_shapes(k)
     options = _label_options(r, d)
-    if len(shapes) * len(options) ** (k - 1) > cap:
-        raise BudgetError(f"tree label space exceeds enumeration cap {cap}")
+    if len(shapes) * len(options) ** (k - 1) > ENUMERATION_CAP:
+        raise BudgetError(f"tree label space exceeds enumeration cap {ENUMERATION_CAP}")
     out = []
     for shape in shapes:
         for combo in product(options, repeat=len(shape)):

@@ -435,7 +435,7 @@ def check_u_bounds() -> CheckResult:
     return CheckResult(name, True, "binomial bound holds on the grid")
 
 
-def check_decomposition_geometry(enum_cap: int | None = None) -> CheckResult:
+def check_decomposition_geometry() -> CheckResult:
     """Union identity, moment match, Weil and intersection bounds, and the
     infinity-term discrepancy data on the fixed desk instances."""
     name = "decomposition-geometric"
@@ -443,7 +443,7 @@ def check_decomposition_geometry(enum_cap: int | None = None) -> CheckResult:
     for p, k in instances + [(5, 3)]:
         f = poly_map(p, 2, 1, 1)
         N = 1
-        report = curves.decomposition_check(f, N, k, enum_cap=enum_cap)
+        report = curves.decomposition_check(f, N, k)
         if not report.union_equals_cr:
             return CheckResult(name, False, f"union != C_N at p={p}, k={k}")
         if not report.affine_equals_w:
@@ -540,7 +540,7 @@ def check_corollary_sweeps(desk: bool = True) -> CheckResult:
     return CheckResult(name, True, f"{len(col1)} collision and {len(gr1)} graph records")
 
 
-def verify_all(desk: bool = True, enum_cap: int | None = None) -> dict:
+def verify_all(desk: bool = True) -> dict:
     """Run every cross-module check; returns a machine-readable manifest.
 
     A BudgetError inside any check becomes a failure named "budget" instead
@@ -555,7 +555,7 @@ def verify_all(desk: bool = True, enum_cap: int | None = None) -> dict:
         lambda: check_enumeration_matches_u(desk),
         lambda: check_tree_generation(desk),
         lambda: check_moment_identities(desk),
-        lambda: check_decomposition_geometry(enum_cap),
+        lambda: check_decomposition_geometry(),
         lambda: check_asymptotic_trend(),
         lambda: check_theorem_statistics(desk),
         lambda: check_corollary_sweeps(desk),

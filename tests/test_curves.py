@@ -1,14 +1,18 @@
+import hashlib
 import math
+from dataclasses import dataclass
+from itertools import combinations
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyiter import curves, dynamics, graphs
-from polyiter.curves import PhiSpec
+from polyiter import cli, curves, dynamics, graphs
 from polyiter.dynamics import poly_map
 from polyiter.errors import BudgetError
+from polyiter.field import FieldParams
 from polyiter.graphs import IterGraph
 
 F5 = poly_map(5, 2, 1, 1)
@@ -19,23 +23,92 @@ TWISTED_LINE = IterGraph(k=2, r=0, d=2, edges={(1, 2): (0, 1)})
 CONIC = IterGraph(k=2, r=1, d=2, edges={(1, 2): (1, 1)})
 
 
+# ---------------------------------------------------------------------------
+# Per-point reference evaluators and the tuple view of the chart masks: the
+# oracles that the grid kernel is checked against.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PhiSpec:
+    """Which factor of the iterate difference: level >= 0 with a twist in
+    [1, d-1], or level -1 (the plain difference) with twist 0."""
+
+    level: int
+    twist: int
+
+    def check(self, d: int) -> None:
+        if self.level == -1:
+            if self.twist != 0:
+                raise ValueError("level -1 requires twist 0")
+        elif self.level >= 0:
+            if not (1 <= self.twist <= d - 1):
+                raise ValueError(f"twist must be in [1, {d - 1}] for level >= 0")
+        else:
+            raise ValueError("level must be >= -1")
+
+
+def homogeneous_iterate(f: FieldParams, x: int, z: int, level: int) -> int:
+    """F applied level times to (x, z): the degree-d**level homogenization
+    of the affine iterate, via F_{i+1} = A*F_i**d + C*z**(d**(i+1))."""
+    p = f.p
+    value = x % p
+    zpow = z % p
+    for _ in range(level):
+        zpow = pow(zpow, f.d, p)
+        value = (f.A * pow(value, f.d, p) + f.C * zpow) % p
+    return value
+
+
+def phi_eval(f: FieldParams, spec: PhiSpec, x: int, y: int, z: int) -> int:
+    """Value of the homogenized twisted difference at (x, y, z)."""
+    spec.check(f.d)
+    p = f.p
+    if spec.level == -1:
+        return (x - y) % p
+    fx = homogeneous_iterate(f, x, z, spec.level)
+    fy = homogeneous_iterate(f, y, z, spec.level)
+    return (fx - pow(f.gamma, spec.twist, p) * fy) % p
+
+
+def point_tuples(pts):
+    """The tuple sets that a point set's chart masks stand for: (1, *x) per
+    affine cell, and (0, *head, *x) per cell of the lead-th infinity slice,
+    head = (0, ..., 0, 1) with lead entries."""
+    p, k = pts.affine.shape[0], pts.affine.ndim
+    affine = frozenset((1, *map(int, x)) for x in np.argwhere(pts.affine))
+    infinity, start = set(), 0
+    for lead in range(1, k + 1):
+        head = (0,) * (lead - 1) + (1,)
+        size = p ** (k - lead)
+        block = pts.infinity[start:start + size].reshape((p,) * (k - lead))
+        infinity |= {(0, *head, *map(int, x)) for x in np.argwhere(block)}
+        start += size
+    assert start == pts.infinity.size
+    return affine, frozenset(infinity)
+
+
+def all_points(pts):
+    affine, infinity = point_tuples(pts)
+    return affine | infinity
+
+
 def test_phi_eval_examples():
-    assert curves.phi_eval(F5, PhiSpec(-1, 0), 3, 3, 1) == 0
+    assert phi_eval(F5, PhiSpec(-1, 0), 3, 3, 1) == 0
     # level 0 with z = 1 is x - gamma**h * y
     for x in range(5):
         for y in range(5):
             expected = (x - 4 * y) % 5
-            assert curves.phi_eval(F5, PhiSpec(0, 1), x, y, 1) == expected
-    assert curves.phi_eval(F5, PhiSpec(1, 1), 1, 2, 1) == 2
+            assert phi_eval(F5, PhiSpec(0, 1), x, y, 1) == expected
+    assert phi_eval(F5, PhiSpec(1, 1), 1, 2, 1) == 2
 
 
 def test_phi_spec_validation():
     with pytest.raises(ValueError):
-        curves.phi_eval(F5, PhiSpec(-1, 1), 1, 2, 1)
+        phi_eval(F5, PhiSpec(-1, 1), 1, 2, 1)
     with pytest.raises(ValueError):
-        curves.phi_eval(F5, PhiSpec(0, 0), 1, 2, 1)
+        phi_eval(F5, PhiSpec(0, 0), 1, 2, 1)
     with pytest.raises(ValueError):
-        curves.phi_eval(F5, PhiSpec(-2, 0), 1, 2, 1)
+        phi_eval(F5, PhiSpec(-2, 0), 1, 2, 1)
 
 
 def test_homogeneous_iterate_matches_affine():
@@ -45,7 +118,7 @@ def test_homogeneous_iterate_matches_affine():
                 affine = x
                 for _ in range(level):
                     affine = dynamics.eval_map(f, affine)
-                assert curves.homogeneous_iterate(f, x, 1, level) == affine
+                assert homogeneous_iterate(f, x, 1, level) == affine
 
 
 def test_homogeneous_iterate_degree_scaling():
@@ -55,8 +128,8 @@ def test_homogeneous_iterate_degree_scaling():
         weight = f.d**level
         for t in (2, 5, 7):
             for (x, z) in ((1, 1), (3, 4), (6, 0), (0, 2)):
-                lhs = curves.homogeneous_iterate(f, t * x % 13, t * z % 13, level)
-                rhs = pow(t, weight, 13) * curves.homogeneous_iterate(f, x, z, level) % 13
+                lhs = homogeneous_iterate(f, t * x % 13, t * z % 13, level)
+                rhs = pow(t, weight, 13) * homogeneous_iterate(f, x, z, level) % 13
                 assert lhs == rhs
 
 
@@ -69,8 +142,8 @@ def test_orientation_swap_identity():
             scale = (-pow(f.gamma, eta, 13)) % 13
             for x in range(13):
                 for y in range(13):
-                    fwd = curves.phi_eval(f, PhiSpec(level, eta), x, y, 1)
-                    back = curves.phi_eval(f, PhiSpec(level, partner), y, x, 1)
+                    fwd = phi_eval(f, PhiSpec(level, eta), x, y, 1)
+                    back = phi_eval(f, PhiSpec(level, partner), y, x, 1)
                     assert fwd == scale * back % 13
 
 
@@ -92,8 +165,8 @@ def test_tree_and_completion_share_points():
     complete = graphs.maximal_extension(tree)
     assert complete.is_complete()
     for f in (F5, F13):
-        assert (curves.count_curve_points(f, tree).all_points()
-                == curves.count_curve_points(f, complete).all_points())
+        assert (all_points(curves.count_curve_points(f, tree))
+                == all_points(curves.count_curve_points(f, complete)))
 
 
 def test_count_cr_points():
@@ -115,9 +188,9 @@ def test_cr_affine_equals_moment():
 
 def test_graph_points_inside_cr():
     for k in (2, 3):
-        cr_points = curves.count_cr_points(F5, 1, k).all_points()
+        cr_points = all_points(curves.count_cr_points(F5, 1, k))
         for g in graphs.enumerate_complete_proper(0, k, 2):
-            assert curves.count_curve_points(F5, g).all_points() <= cr_points
+            assert all_points(curves.count_curve_points(F5, g)) <= cr_points
 
 
 def test_decomposition_check():
@@ -171,14 +244,14 @@ def test_count_matches_naive_phi_scan():
                 for a, b in g.edge_pairs():
                     xi, eta = g.xi(a, b), g.eta(a, b)
                     spec = PhiSpec(xi, eta) if xi >= 0 else PhiSpec(-1, 0)
-                    if curves.phi_eval(f, spec, coords[a - 1], coords[b - 1], z) != 0:
+                    if phi_eval(f, spec, coords[a - 1], coords[b - 1], z) != 0:
                         return False
                 return True
 
-            pts = curves.count_curve_points(f, g)
+            pts = point_tuples(curves.count_curve_points(f, g))
             affine, infinity = naive_points(f.p, k, satisfied)
-            assert set(pts.affine) == affine
-            assert set(pts.infinity) == infinity
+            assert pts[0] == affine
+            assert pts[1] == infinity
 
 
 def test_cr_points_match_naive_scan():
@@ -188,12 +261,12 @@ def test_cr_points_match_naive_scan():
             for k in (1, 2, 3):
 
                 def satisfied(coords, z):
-                    return len({curves.homogeneous_iterate(f, x, z, N) for x in coords}) == 1
+                    return len({homogeneous_iterate(f, x, z, N) for x in coords}) == 1
 
-                pts = curves.count_cr_points(f, N, k)
+                pts = point_tuples(curves.count_cr_points(f, N, k))
                 affine, infinity = naive_points(f.p, k, satisfied)
-                assert set(pts.affine) == affine, (f.p, N, k)
-                assert set(pts.infinity) == infinity, (f.p, N, k)
+                assert pts[0] == affine, (f.p, N, k)
+                assert pts[1] == infinity, (f.p, N, k)
 
 
 def test_irreducibility_probe_matches_naive_scan():
@@ -202,7 +275,7 @@ def test_irreducibility_probe_matches_naive_scan():
             for i in range(1, f.d):
                 spec = PhiSpec(r, i)
                 affine, infinity = naive_points(
-                    f.p, 2, lambda xy, z: curves.phi_eval(f, spec, *xy, z) == 0
+                    f.p, 2, lambda xy, z: phi_eval(f, spec, *xy, z) == 0
                 )
                 probe = curves.irreducibility_probe(f, r, i)
                 assert probe.count == len(affine) + len(infinity), (f.p, f.d, r, i)
@@ -243,8 +316,8 @@ def test_intersection_check():
     report = curves.intersection_check(F5, LINE, TWISTED_LINE, 2, 1)
     assert report.common == 1
     assert report.sets_differ and report.ok
-    pts1 = curves.count_curve_points(F5, LINE).all_points()
-    pts2 = curves.count_curve_points(F5, TWISTED_LINE).all_points()
+    pts1 = all_points(curves.count_curve_points(F5, LINE))
+    pts2 = all_points(curves.count_curve_points(F5, TWISTED_LINE))
     assert pts1 & pts2 == {(1, 0, 0)}
     with pytest.raises(ValueError):
         curves.intersection_check(F5, LINE, LINE, 2, 1)
@@ -259,6 +332,117 @@ def test_pairwise_intersections_within_bound():
                 assert report.ok and report.sets_differ
 
 
+def test_checks_refuse_mismatched_k():
+    # masks of different k would broadcast into a wrong count instead of failing
+    with pytest.raises(ValueError, match="expected k=2"):
+        curves.intersection_check(F5, IterGraph(k=1, r=0, d=2), LINE, 2, 1)
+    with pytest.raises(ValueError, match="expected k=3"):
+        curves.intersection_check(F5, LINE, TWISTED_LINE, 3, 1)
+    with pytest.raises(ValueError, match="expected k=3"):
+        curves.weil_check(F5, LINE, 3, 1)
+
+
+@pytest.mark.parametrize("p, d", [(5, 2), (13, 2), (7, 3), (13, 4)])
+def test_mask_algebra_matches_tuple_sets(p, d):
+    # AND, OR and equality on the chart masks against the same operations
+    # on the tuple sets the masks stand for, over every pair of graphs
+    f = poly_map(p, d, 3, 2)
+    for N in (0, 1, 2):
+        for k in (2, 3):
+            graph_list = graphs.enumerate_complete_proper(N - 1, k, d)
+            point_sets = [all_points(curves.count_curve_points(f, g)) for g in graph_list]
+            for (g1, pts1), (g2, pts2) in combinations(zip(graph_list, point_sets), 2):
+                report = curves.intersection_check(f, g1, g2, k, N)
+                assert report.common == len(pts1 & pts2), (p, d, N, k)
+                assert report.sets_differ == (pts1 != pts2 if (pts1 and pts2) else True)
+            union = frozenset().union(*point_sets)
+            report = curves.decomposition_check(f, N, k)
+            assert report.union_total == len(union), (p, d, N, k)
+            assert report.union_equals_cr == (
+                union == all_points(curves.count_cr_points(f, N, k))
+            )
+
+
+# exit code and sha256 of stdout + stderr of `polyiter curves|decomp --A 3
+# --C 7`, recorded from the tuple-set implementation that the masks replaced
+CLI_PINS = [
+    ("curves", 13, 2, 1, 2, 0,
+     "15c1607495a2c918f1432c13b6b1fff9d8d95a59d3bb9960a9be3fa11db01fb4"),
+    ("decomp", 13, 2, 1, 2, 0,
+     "bfb17ddf539f4ae268a6efaa2bc7b1ac67300130f1d395f7e0e32d0d315d89ab"),
+    ("curves", 13, 2, 1, 3, 0,
+     "7d4f04f739956222d1fa6e9ce50033510b7148c5f16d3e069e7e60c42f47904a"),
+    ("decomp", 13, 2, 1, 3, 0,
+     "c1ee740ed36cece45ade99095b76b2673d0793b1c15cc17c9126d8102e2e3789"),
+    ("curves", 13, 2, 2, 2, 0,
+     "f54fcba1434220495910f72a3090ce75c0ee1b22d06ee2b61a686f8ee34a6971"),
+    ("decomp", 13, 2, 2, 2, 0,
+     "072bc601ace301bfeb259f033784cf01b8d2879828ef30224a57ddfd1545cd57"),
+    ("curves", 13, 2, 2, 3, 0,
+     "fe4802af11d4bd45e595033c07d706debc84a893373d468e954d93a0bba5de1d"),
+    ("decomp", 13, 2, 2, 3, 0,
+     "7bbab9b21d4948eaf02709bb229107e329e22162d5f0ce799623d9d9b48ccfaa"),
+    ("curves", 101, 5, 1, 2, 0,
+     "10058b4c72837fdccc3efc41ab553cbca171ecfdd7f45eb99d3fd3fc06d5bc96"),
+    ("decomp", 101, 5, 1, 2, 0,
+     "8e0f7d212ae03d7549ea5ded5a605f0ccee5fd8f81250527053c40b74fe4341f"),
+    ("curves", 101, 5, 1, 3, 0,
+     "be73e415ddb1a7a3fd3d9bdb151e982c465d0e3d98cc4b476ee8c5aa3fa30a1d"),
+    ("decomp", 101, 5, 1, 3, 0,
+     "206ef48a3f6eef34a2fbbe6ffe215cebc58e6f7300be85dbb6bee216cc0396a8"),
+    ("curves", 101, 5, 2, 2, 0,
+     "d94fa3f36547a35fb1b72eecd3e32a9788aadb09efc94e98fe6f4c6792ac6c31"),
+    ("decomp", 101, 5, 2, 2, 0,
+     "40171d1ec85d8360782fa98aa4010fd4413671922b6f5c3069d31778851a3761"),
+    ("curves", 101, 5, 2, 3, 0,
+     "c6765eb86b5a4bbe58bdecb28da156aa5c00bcba433cdcbe5c77fb60527a68b3"),
+    ("decomp", 101, 5, 2, 3, 0,
+     "a178179e01149a54fdfe3af90cc3cf27bff660a33b2353d89ac3c157780686f4"),
+    ("curves", 211, 3, 1, 2, 0,
+     "a2ab4545ffdf7b3dfce82835ef611a37a256c194c04061a8d719084743c356dd"),
+    ("decomp", 211, 3, 1, 2, 0,
+     "23b2e55534d02824b22971b825413afa721f5d398b8302fd079c762e68b4a2bd"),
+    ("curves", 211, 3, 1, 3, 3,
+     "8f477967e9669a0b9864c797c245f2c8ff248a7dd94713deb6cdd1f04df319b1"),
+    ("decomp", 211, 3, 1, 3, 3,
+     "8f477967e9669a0b9864c797c245f2c8ff248a7dd94713deb6cdd1f04df319b1"),
+    ("curves", 211, 3, 2, 2, 0,
+     "96b12639ec0ea82f0fbd36a892ab82770920ab454d9c9c3680af05bb0d022616"),
+    ("decomp", 211, 3, 2, 2, 0,
+     "0a172dfe9113885f626437c051ef9484a1063eac8e07339848f805f0b40b9c5d"),
+    ("curves", 211, 3, 2, 3, 3,
+     "8f477967e9669a0b9864c797c245f2c8ff248a7dd94713deb6cdd1f04df319b1"),
+    ("decomp", 211, 3, 2, 3, 3,
+     "8f477967e9669a0b9864c797c245f2c8ff248a7dd94713deb6cdd1f04df319b1"),
+    ("curves", 7, 3, 1, 2, 0,
+     "722511a985875d05e11f270abfa3c5afc2b73a34c56cbdaafd563462ca8cec9b"),
+    ("decomp", 7, 3, 1, 2, 0,
+     "98e46d83d7ddbda1733ffbaf33a5cd9d3d724a5804c9dbab8002078782b5657b"),
+    ("curves", 7, 3, 1, 3, 0,
+     "06f509fb34a8f6308a6eced3f742f90c568b1029e3d2a4b4dc73a1529bd691dd"),
+    ("decomp", 7, 3, 1, 3, 0,
+     "9b252278644af43da710a51bdd69a3c221c7145e24399d568400e0df2db509b7"),
+    ("curves", 7, 3, 2, 2, 0,
+     "264618c435e1e760cd1a881ae48dca4d781fa929f7681037258714cf67ce4258"),
+    ("decomp", 7, 3, 2, 2, 0,
+     "af2c4541760584be733bcf25eeb1b3f27a1794d57fae2e7a98e659dede0343d8"),
+    ("curves", 7, 3, 2, 3, 0,
+     "a92a2b0608bdafc160c49d16e8f92149799917ea16d9be8cf7af5fbd0339ea79"),
+    ("decomp", 7, 3, 2, 3, 0,
+     "83994a7bbe656eb85ec140559c1f0ae298f7604767ceb08c6e83be93897fae7e"),
+]
+
+
+@pytest.mark.parametrize("cmd, p, d, N, k, code, digest", CLI_PINS,
+                         ids=["-".join(map(str, pin[:5])) for pin in CLI_PINS])
+def test_cli_curves_and_decomp_bytes_pinned(capsys, cmd, p, d, N, k, code, digest):
+    argv = [cmd, "--p", str(p), "--d", str(d), "--A", "3", "--C", "7",
+            "--N", str(N), "--k", str(k)]
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert hashlib.sha256((out + err).encode()).hexdigest() == digest
+
+
 def test_irreducibility_probe():
     line_probe = curves.irreducibility_probe(F5, 0, 1)
     assert line_probe.count == 6 and line_probe.verdict == "CONSISTENT"
@@ -267,6 +451,12 @@ def test_irreducibility_probe():
     # precondition fails at depth 3 for x^2+1 mod 5 but the probe still runs
     late = curves.irreducibility_probe(F5, 3, 1)
     assert late.verdict in ("CONSISTENT", "SUSPICIOUS")
+    for twist in (0, 2):
+        with pytest.raises(ValueError, match=r"twist must be in \[1, 1\] for level >= 0"):
+            curves.irreducibility_probe(F5, 1, twist)
+    # an over-budget p is refused before the twist is judged
+    with pytest.raises(BudgetError):
+        curves.irreducibility_probe(poly_map(223, 2, 1, 1), 1, 0)
 
 
 def iterate(f, x, times):
@@ -311,7 +501,7 @@ def test_iterate_difference_factors_into_twists():
                     rhs = pow(f.A, r, p) * (x - y) % p
                     for level in range(r):
                         for h in range(1, d):
-                            rhs = rhs * curves.phi_eval(f, PhiSpec(level, h), x, y, 1) % p
+                            rhs = rhs * phi_eval(f, PhiSpec(level, h), x, y, 1) % p
                     assert lhs == rhs, (p, d, r, x, y)
 
 
@@ -339,7 +529,7 @@ def test_solution_graphs_are_proper_and_enumerated():
             assert graphs.is_proper(g)
             assert g.canonical() in enumerated
             seen.add(g.canonical())
-            assert (1, *xs) in curves.count_curve_points(f, g).affine
+            assert (1, *xs) in point_tuples(curves.count_curve_points(f, g))[0]
         assert seen  # the level/twist labeling really fires
 
 
@@ -375,5 +565,5 @@ def test_infinity_table_matches_homogeneous_iterate(case):
     f, level = case
     table = curves._iterate_table(f, level, at_infinity=True)
     assert table.tolist() == [
-        curves.homogeneous_iterate(f, x, 0, level) for x in range(f.p)
+        homogeneous_iterate(f, x, 0, level) for x in range(f.p)
     ]

@@ -150,7 +150,7 @@ def test_enumeration_matches_u_counts():
 
 def test_enumeration_cap():
     with pytest.raises(BudgetError):
-        graphs.enumerate_complete_proper(3, 5, 3, cap=100)
+        graphs.enumerate_complete_proper(3, 5, 3)
 
 
 def test_enumerate_trees():

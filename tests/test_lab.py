@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 import polyiter
-from polyiter import cli, lab, recur
+from polyiter import cli, curves, lab, recur
+from polyiter.errors import BudgetError
 from polyiter.report import render_records
 
 
@@ -144,8 +145,12 @@ def test_verify_all_quick_is_green():
             "asymptotic-trend", "theorem-statistics", "corollary-sweeps"} <= names
 
 
-def test_verify_all_reports_budget_failure_by_name():
-    manifest = lab.verify_all(desk=False, enum_cap=1)
+def test_verify_all_reports_budget_failure_by_name(monkeypatch):
+    def over_budget(*args, **kwargs):
+        raise BudgetError("label space exceeds enumeration cap")
+
+    monkeypatch.setattr(curves, "decomposition_check", over_budget)
+    manifest = lab.verify_all(desk=False)
     assert not manifest["ok"]
     failures = [c for c in manifest["checks"] if not c["ok"]]
     assert any(c["name"] == "budget" for c in failures)
