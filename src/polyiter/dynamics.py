@@ -98,15 +98,9 @@ def step_table(f: FieldParams) -> np.ndarray:
     return table
 
 
-def apply_map_to_domain(f: FieldParams, N: int) -> np.ndarray:
-    """Array of f^N(x) for all x, by binary powering of the step table:
-    floor(log2 N) + popcount(N) full-domain gathers."""
-    if N < 0:
-        raise ValueError("depth must be nonnegative")
-    arr = np.arange(f.p, dtype=np.int64)
-    if N == 0:
-        return arr
-    table = step_table(f)
+def _iterate(table: np.ndarray, arr: np.ndarray, N: int) -> np.ndarray:
+    """arr mapped N >= 1 times through table, by binary powering of the
+    table: floor(log2 N) + popcount(N) gathers, no square after the top bit."""
     while True:
         if N & 1:
             arr = table[arr]
@@ -116,9 +110,31 @@ def apply_map_to_domain(f: FieldParams, N: int) -> np.ndarray:
         table = table[table]
 
 
+def apply_map_to_domain(f: FieldParams, N: int) -> np.ndarray:
+    """Array of f^N(x) for all x, by binary powering of the step table."""
+    if N < 0:
+        raise ValueError("depth must be nonnegative")
+    arr = np.arange(f.p, dtype=np.int64)
+    return _iterate(step_table(f), arr, N) if N else arr
+
+
+def _image_from_table(table: np.ndarray, N: int) -> int:
+    """#f^N(F_p) for N >= 1, as #f^(N-1)(S_1): S_1 = f(F_p) is read off a
+    hit mask, so the first gather over its (p-1)/d + 1 points walks the table
+    in ascending order, and the values are counted on the cleared mask."""
+    hit = np.zeros(len(table), dtype=bool)
+    hit[table] = True
+    if N > 1:
+        image = np.flatnonzero(hit)
+        hit[:] = False
+        hit[_iterate(table, image, N - 1)] = True
+    return int(np.count_nonzero(hit))
+
+
 def image_size(f: FieldParams, N: int) -> int:
-    arr = apply_map_to_domain(f, N)
-    return int(np.count_nonzero(np.bincount(arr, minlength=f.p)))
+    if N < 0:
+        raise ValueError("depth must be nonnegative")
+    return _image_from_table(step_table(f), N) if N else f.p
 
 
 def preimage_distribution(f: FieldParams, N: int) -> PreimageDistribution:
@@ -144,23 +160,25 @@ def _power_sum(profile: np.ndarray, k: int) -> int:
 
 def orbit_of_zero(f: FieldParams) -> OrbitSummary:
     """Brent's scheme: power-of-two teleports find the period, then a
-    synchronized scan finds the tail.  Constant memory."""
+    synchronized scan finds the tail.  Constant memory; the step is
+    eval_map inlined on locals, since a call per step costs more than it."""
+    p, d, A, C = f.p, f.d, f.A, f.C
     power = lam = 1
-    tortoise, hare = 0, eval_map(f, 0)
+    tortoise, hare = 0, C % p  # f(0)
     while tortoise != hare:
         if power == lam:
             tortoise = hare
             power *= 2
             lam = 0
-        hare = eval_map(f, hare)
+        hare = (A * pow(hare, d, p) + C) % p
         lam += 1
     tortoise = hare = 0
     for _ in range(lam):
-        hare = eval_map(f, hare)
+        hare = (A * pow(hare, d, p) + C) % p
     mu = 0
     while tortoise != hare:
-        tortoise = eval_map(f, tortoise)
-        hare = eval_map(f, hare)
+        tortoise = (A * pow(tortoise, d, p) + C) % p
+        hare = (A * pow(hare, d, p) + C) % p
         mu += 1
     return OrbitSummary(tail_len=mu, cycle_len=lam)
 
@@ -169,13 +187,14 @@ def check_precondition(f: FieldParams, N: int) -> bool:
     """True iff 0, f(0), ..., f^N(0) are pairwise distinct."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
+    p, d, A, C = f.p, f.d, f.A, f.C
     seen = set()
     x = 0
     for _ in range(N + 1):
         if x in seen:
             return False
         seen.add(x)
-        x = eval_map(f, x)
+        x = (A * pow(x, d, p) + C) % p
     return True
 
 
@@ -218,31 +237,40 @@ def _stats_from_table(table: np.ndarray) -> GraphStats:
     """Decompose a functional graph given its successor table, by pointer
     doubling over whole arrays (Wyllie's list ranking).
 
-    With L = p.bit_length(), 2**L > p exceeds every tail and covers every
-    cycle.  L self-gathers give hop = f^(2**L), whose image is the cyclic set.
-    A second L rounds sum, over the window x, f(x), ..., f^(2**i - 1)(x), the
-    non-cyclic indicator (the distance to the cycle) and take the least cyclic
-    label, which is its own label at exactly one vertex per cycle.
+    With L = p.bit_length(), 2**L > p exceeds every tail.  L self-gathers give
+    hop = f^(2**L), whose image is the cyclic set.  Rounds then sum the
+    non-cyclic indicator (the distance to the cycle) over the window x, f(x),
+    ..., f^(2**i - 1)(x) until the next window is cyclic everywhere, once 2**i
+    reaches the longest tail.  On the cyclic set relabelled 0..m-1, f is a
+    permutation, and the least label over 2**m.bit_length() > m steps ahead is
+    its own label at exactly one vertex per cycle.
     """
     p = len(table)
-    rounds = p.bit_length()
     hop = table
-    for _ in range(rounds):
+    for _ in range(p.bit_length()):
         hop = hop[hop]
     cyclic = np.zeros(p, dtype=bool)
     cyclic[hop] = True
-    labels = np.arange(p)
     dist = (~cyclic).astype(np.int64)
-    low = np.where(cyclic, labels, p)
     hop = table
-    for _ in range(rounds):
-        dist += dist[hop]
+    while (ahead := dist[hop]).any():
+        dist += ahead
+        hop = hop[hop]
+    cyc = np.flatnonzero(cyclic)
+    m = len(cyc)
+    rank = np.empty(p, dtype=np.int64)
+    rank[cyc] = np.arange(m)
+    hop = rank[table[cyc]]
+    low = np.arange(m)
+    for _ in range(m.bit_length()):
         low = np.minimum(low, low[hop])
         hop = hop[hop]
-    tails = dist[np.bincount(table, minlength=p) == 0]
+    hit = np.zeros(p, dtype=bool)
+    hit[table] = True
+    tails = dist[~hit]
     return GraphStats(
-        num_cycles=int(np.count_nonzero(low == labels)),
-        sum_cycle_lengths=int(np.count_nonzero(cyclic)),
+        num_cycles=int(np.count_nonzero(low == np.arange(m))),
+        sum_cycle_lengths=m,
         sum_precyclic_path_lengths=int(tails.sum()),
         max_tail=int(tails.max(initial=0)),
     )

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, curves, dynamics, graphs, recur
 from .dynamics import poly_map
 from .errors import BudgetError
-from .field import is_prime
+from .field import FieldParams, is_prime
 from .report import render_records
 
 GENERATOR_NAME = "mt19937-per-prime"
@@ -74,42 +74,39 @@ def _instance_rng(seed: int, p: int) -> random.Random:
     return random.Random((seed << 32) ^ p)
 
 
-def _coefficient_pairs(cfg: SweepConfig, p: int) -> tuple[list[tuple[int, int]], int]:
-    """(A, C) pairs for one prime plus the number of rejected draws.
+def _instances(cfg: SweepConfig, p: int) -> tuple[list[FieldParams], int]:
+    """One map per admitted (A, C) pair for one prime, and the rejected draws.
 
     Policy "all" walks every pair; "random" draws per_prime pairs from the
     seeded per-prime stream.  With require_precondition, failing pairs are
     rejected (and counted) rather than recorded.
     """
-    pairs: list[tuple[int, int]] = []
+    maps: list[FieldParams] = []
     rejected = 0
 
-    def admits(A: int, C: int) -> bool:
-        if not cfg.require_precondition:
-            return True
-        return dynamics.check_precondition(poly_map(p, cfg.d, A, C), cfg.N)
+    def admit(A: int, C: int) -> None:
+        nonlocal rejected
+        f = poly_map(p, cfg.d, A, C)
+        if cfg.require_precondition and not dynamics.check_precondition(f, cfg.N):
+            rejected += 1
+        else:
+            maps.append(f)
 
     if cfg.policy == "all":
         for A in range(1, p):
             for C in range(p):
-                if admits(A, C):
-                    pairs.append((A, C))
-                else:
-                    rejected += 1
-        return pairs, rejected
+                admit(A, C)
+        return maps, rejected
 
     rng = _instance_rng(cfg.seed, p)
     attempts_cap = 100 * cfg.per_prime
     attempts = 0
-    while len(pairs) < cfg.per_prime and attempts < attempts_cap:
+    while len(maps) < cfg.per_prime and attempts < attempts_cap:
         A = rng.randrange(1, p)
         C = rng.randrange(p)
         attempts += 1
-        if admits(A, C):
-            pairs.append((A, C))
-        else:
-            rejected += 1
-    return pairs, rejected
+        admit(A, C)
+    return maps, rejected
 
 
 def sweep_theorem(cfg: SweepConfig) -> tuple[list[dict], dict]:
@@ -120,17 +117,16 @@ def sweep_theorem(cfg: SweepConfig) -> tuple[list[dict], dict]:
     total_rejected = 0
     total_drawn = 0
     for p in primes_with_degree(cfg.p_min, cfg.p_max, cfg.d):
-        pairs, rejected = _coefficient_pairs(cfg, p)
+        maps, rejected = _instances(cfg, p)
         total_rejected += rejected
-        total_drawn += rejected + len(pairs)
-        for A, C in pairs:
-            f = poly_map(p, cfg.d, A, C)
-            # pairs were already filtered on the precondition when it is required
+        total_drawn += rejected + len(maps)
+        for f in maps:
+            # maps were already filtered on the precondition when it is required
             held = cfg.require_precondition or dynamics.check_precondition(f, cfg.N)
             img = dynamics.image_size(f, cfg.N)
             mu_p = float(mu_n * p)
             records.append({
-                "p": p, "d": cfg.d, "A": A, "C": C, "N": cfg.N,
+                "p": p, "d": cfg.d, "A": f.A, "C": f.C, "N": cfg.N,
                 "image_size": img,
                 "mu_p": mu_p,
                 "norm_err": (img - mu_p) / math.sqrt(p),
@@ -158,13 +154,12 @@ def collision_stats(cfg: SweepConfig) -> tuple[list[dict], dict]:
     cfg.validate()
     records = []
     for p in primes_with_degree(cfg.p_min, cfg.p_max, cfg.d):
-        pairs, _ = _coefficient_pairs(cfg, p)
+        maps, _ = _instances(cfg, p)
         loglog = math.log(math.log(p))
-        for A, C in pairs:
-            f = poly_map(p, cfg.d, A, C)
+        for f in maps:
             orbit = dynamics.orbit_of_zero(f)
             records.append({
-                "p": p, "d": cfg.d, "A": A, "C": C,
+                "p": p, "d": cfg.d, "A": f.A, "C": f.C,
                 "tail_len": orbit.tail_len,
                 "cycle_len": orbit.cycle_len,
                 "collision_index": orbit.collision_index,
@@ -194,19 +189,19 @@ def graph_sweep(cfg: SweepConfig) -> tuple[list[dict], dict]:
     cfg.validate()
     records = []
     for p in primes_with_degree(cfg.p_min, cfg.p_max, cfg.d):
-        pairs, _ = _coefficient_pairs(cfg, p)
+        maps, _ = _instances(cfg, p)
         loglog = math.log(math.log(p))
         n0 = int(loglog / (7 * math.log(cfg.d))) + 1
         cycle_bound = 21 * p * math.log(cfg.d) / loglog
         precyclic_bound = 28 * p * math.log(cfg.d) / loglog
         v2_limit = (2 / (cfg.d - 1) + 1) * p / n0
-        for A, C in pairs:
-            f = poly_map(p, cfg.d, A, C)
-            stats = dynamics.functional_graph_stats(f)
-            image_n0 = dynamics.image_size(f, n0)
+        for f in maps:
+            table = dynamics.step_table(f)
+            stats = dynamics._stats_from_table(table)
+            image_n0 = dynamics._image_from_table(table, n0)
             v2_ok = image_n0 < v2_limit
             records.append({
-                "p": p, "d": cfg.d, "A": A, "C": C,
+                "p": p, "d": cfg.d, "A": f.A, "C": f.C,
                 "num_cycles": stats.num_cycles,
                 "sum_cycle_lengths": stats.sum_cycle_lengths,
                 "sum_precyclic_path_lengths": stats.sum_precyclic_path_lengths,

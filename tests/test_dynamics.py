@@ -46,20 +46,21 @@ def apply_map_oracle(f, N):
     return arr
 
 
-PRIMES_TO_200 = [q for q in range(3, 201) if all(q % i for i in range(2, q))]
+PRIMES_TO_300 = [q for q in range(3, 301) if all(q % i for i in range(2, q))]
 
 
 @st.composite
-def maps_to_200(draw):
-    p = draw(st.sampled_from(PRIMES_TO_200))
-    d = draw(st.sampled_from([d for d in (2, 3, 4, 5, 6) if (p - 1) % d == 0]))
+def maps_to_300(draw):
+    """Primes p <= 300 with any degree d >= 2 dividing p - 1."""
+    p = draw(st.sampled_from(PRIMES_TO_300))
+    d = draw(st.sampled_from([d for d in range(2, p) if (p - 1) % d == 0]))
     A = draw(st.integers(min_value=1, max_value=p - 1))
     C = draw(st.integers(min_value=0, max_value=p - 1))
     return poly_map(p, d, A, C)
 
 
 @settings(max_examples=150, deadline=None)
-@given(f=maps_to_200(), N=st.integers(min_value=0, max_value=3000))
+@given(f=maps_to_300(), N=st.integers(min_value=0, max_value=3000))
 @example(f=F5, N=0)
 @example(f=F5, N=1)
 @example(f=poly_map(199, 2, 1, 1), N=2048)
@@ -67,6 +68,30 @@ def maps_to_200(draw):
 @example(f=poly_map(197, 4, 3, 5), N=3000)
 def test_apply_map_matches_pass_loop(f, N):
     assert dynamics.apply_map_to_domain(f, N).tolist() == apply_map_oracle(f, N).tolist()
+
+
+def image_size_oracle(f, N):
+    return int(np.count_nonzero(np.bincount(apply_map_oracle(f, N), minlength=f.p)))
+
+
+# the shallow depths, and one past each power of two (N - 1 = 2**j is a
+# single squared-table gather of the image set)
+EXPLICIT_DEPTHS = (0, 1, 2, 3, *(2**j + 1 for j in range(2, 12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=maps_to_300(), N=st.integers(min_value=0, max_value=3000))
+@example(f=F5, N=0)
+@example(f=poly_map(257, 256, 3, 5), N=2)
+@example(f=poly_map(293, 2, 1, 0), N=3000)
+def test_image_size_matches_pass_loop(f, N):
+    for depth in (N, *EXPLICIT_DEPTHS):
+        assert dynamics.image_size(f, depth) == image_size_oracle(f, depth)
+
+
+def test_image_size_refuses_negative_depth():
+    with pytest.raises(ValueError):
+        dynamics.image_size(F5, -1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -399,3 +424,53 @@ def _tail_into_fixed_point(p):
 @example(table=_tail_into_fixed_point(300))
 def test_graph_stats_match_path_stack_oracle(table):
     assert dynamics._stats_from_table(table) == graph_stats_oracle(table)
+
+
+def _cycle_with_tail(cycle, tail):
+    """A path 0 -> 1 -> ... -> tail - 1 into the cycle tail -> tail + 1 ->
+    ... -> tail + cycle - 1 -> tail: vertex 0 is at distance `tail`, and the
+    cyclic vertices do not carry the labels 0..cycle-1 unless tail == 0."""
+    succ = np.arange(1, tail + cycle + 1, dtype=np.int64)
+    succ[-1] = tail
+    return succ
+
+
+@pytest.mark.parametrize("i", range(8))
+def test_graph_stats_at_doubling_boundaries(i):
+    # the distance rounds stop once 2**rounds reaches the longest tail, and
+    # the cycle rounds once 2**rounds exceeds the cyclic count
+    near = (2**i - 1, 2**i, 2**i + 1)
+    for tail in near:
+        for cycle in {1, *near} - {0}:
+            table = _cycle_with_tail(cycle, tail)
+            expected = dynamics.GraphStats(
+                num_cycles=1, sum_cycle_lengths=cycle,
+                sum_precyclic_path_lengths=tail, max_tail=tail)
+            assert dynamics._stats_from_table(table) == expected, (cycle, tail)
+            assert graph_stats_oracle(table) == expected
+
+
+def test_graph_stats_on_all_cyclic_permutation():
+    lengths = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129]
+    labels = np.random.default_rng(0).permutation(sum(lengths))
+    table = np.empty(len(labels), dtype=np.int64)
+    start = 0
+    for length in lengths:
+        block = labels[start:start + length]
+        table[block] = np.roll(block, -1)
+        start += length
+    expected = dynamics.GraphStats(
+        num_cycles=len(lengths), sum_cycle_lengths=len(labels),
+        sum_precyclic_path_lengths=0, max_tail=0)
+    assert dynamics._stats_from_table(table) == expected
+    assert graph_stats_oracle(table) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 64, 65, 128, 129, 300])
+def test_graph_stats_single_fixed_point_with_longest_tail(p):
+    # 0 -> 1 -> ... -> p-1 -> p-1: the fixed point carries the last label
+    table = np.minimum(np.arange(p, dtype=np.int64) + 1, p - 1)
+    expected = dynamics.GraphStats(
+        num_cycles=1, sum_cycle_lengths=1,
+        sum_precyclic_path_lengths=p - 1, max_tail=p - 1)
+    assert dynamics._stats_from_table(table) == expected
