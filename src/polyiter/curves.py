@@ -178,6 +178,8 @@ def _variety(
 def count_curve_points(f: FieldParams, g: IterGraph) -> ProjectivePointSet:
     """Exact projective point set of the variety attached to a labeled graph.
     A level -1 edge (x_a = x_b) is the level-0 equation with twist 0."""
+    if g.d != f.d:
+        raise ValueError(f"graph has d={g.d}, map has d={f.d}")
     equations = []
     for a, b in g.edge_pairs():
         xi = g.xi(a, b)

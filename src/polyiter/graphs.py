@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .errors import BudgetError
 from .recur import Partition, check_degree_level, u_value
@@ -129,27 +130,45 @@ def _eta(edges: Labels, d: int, a: int, b: int) -> int:
     return eta_fwd if a < b else (d - eta_fwd) % d
 
 
-def _triple_ok(edges: Labels, d: int, a: int, b: int, c: int) -> bool:
-    """Triangle rules for the ordered triple (a, b, c), all three edges labeled."""
-    xi_ab, xi_bc, xi_ac = _xi(edges, a, b), _xi(edges, b, c), _xi(edges, a, c)
-    if xi_ab == xi_bc == -1:
-        return xi_ac == -1
-    if xi_ab < xi_bc:
-        return xi_ac == xi_bc and _eta(edges, d, a, c) == _eta(edges, d, b, c)
-    if xi_ab == xi_bc and xi_ab >= 0:
-        s = _eta(edges, d, a, b) + _eta(edges, d, b, c)
-        if s != d:
-            return xi_ac == xi_ab and _eta(edges, d, a, c) == s % d
-        return xi_ac < xi_ab
-    return True
+def _triangle_ok(d: int, xy: tuple[int, int], yz: tuple[int, int], xz: tuple[int, int]) -> bool:
+    """Triangle rules for x < y < z from the stored labels of its three edges,
+    all six orderings at once: each vertex is the elbow of two of them."""
+    (p, e), (q, f), (s, g) = xy, yz, xz
+    ex, fx, gx = (d - e) % d, (d - f) % d, (d - g) % d  # twists read high to low
+    return (_elbow(d, p, ex, e, s, g, gx, q, f, fx)
+            and _elbow(d, p, e, ex, q, f, fx, s, g, gx)
+            and _elbow(d, s, g, gx, q, fx, f, p, e, ex))
+
+
+def _elbow(d: int, u: int, ab: int, ba: int, v: int, bc: int, cb: int,
+           w: int, ac: int, ca: int) -> bool:
+    """Orderings (a, b, c) and (c, b, a): levels u on {a,b}, v on {b,c} and
+    w on {a,c}, with the directed twists named by their ordered pairs."""
+    if u < v:
+        return w == v and ac == bc
+    if v < u:
+        return w == u and ca == ba
+    if u == -1:
+        return w == -1
+    return _join(d, u, ab + bc, w, ac) and _join(d, u, cb + ba, w, ca)
+
+
+def _join(d: int, u: int, s: int, w: int, t: int) -> bool:
+    """Two level-u steps with twist sum s, closed at level w with twist t."""
+    return w == u and t == s % d if s != d else w < u
 
 
 def is_proper(g: IterGraph) -> bool:
-    """Closure under the triangle rules, over every ordered vertex triple."""
-    for a, b, c in permutations(range(1, g.k + 1), 3):
-        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
-            if not _triple_ok(g.edges, g.d, a, b, c):
-                return False
+    """Closure under the triangle rules, over every fully labeled triangle."""
+    return _triangles_ok(g.edges, g.d, combinations(range(1, g.k + 1), 3))
+
+
+def _triangles_ok(edges: Labels, d: int, triangles: Iterable[Sequence[int]]) -> bool:
+    """_triangle_ok on each listed triangle x < y < z whose edges are all labeled."""
+    for x, y, z in triangles:
+        xy, yz, xz = edges.get((x, y)), edges.get((y, z)), edges.get((x, z))
+        if xy and yz and xz and not _triangle_ok(d, xy, yz, xz):
+            return False
     return True
 
 
@@ -192,48 +211,72 @@ def extract_partition(g: IterGraph) -> Partition:
     return result
 
 
+def _step_label(edges: Labels, d: int, a: int, b: int, c: int) -> tuple[int, int] | None:
+    """Stored label that the path a-b-c gives the new edge {a,c}, or None when
+    no label rule applies: -1 then -1 stays -1, two equal levels compose
+    non-cancelling twists, and a lower step takes the higher step's label."""
+    ab, bc = edges.get((a, b) if a < b else (b, a)), edges.get((b, c) if b < c else (c, b))
+    if ab is None or bc is None:
+        return None
+    if ab[0] == bc[0] == -1:
+        return (-1, 0)
+    if ab[0] == bc[0] >= 0:
+        eta = (_eta(edges, d, a, b) + _eta(edges, d, b, c)) % d
+        if eta == 0:
+            return None
+    elif ab[0] < bc[0]:
+        eta = _eta(edges, d, b, c)
+    else:
+        return None
+    return (bc[0], eta % d if a < c else (d - eta) % d)
+
+
 def generate_step(g: IterGraph, a: int, b: int, c: int) -> IterGraph | None:
     """Try to add edge {a,c} from the path a-b-c.
 
     Returns the extended graph when one of the three label rules applies and
     the result is still proper; otherwise None (the step is skipped).
     """
-    if not (g.has_edge(a, b) and g.has_edge(b, c)) or g.has_edge(a, c):
+    key = (a, c) if a < c else (c, a)
+    label = None if key in g.edges else _step_label(g.edges, g.d, a, b, c)
+    if label is None:
         return None
-    xi_ab, xi_bc = g.xi(a, b), g.xi(b, c)
-    if xi_ab == xi_bc == -1:
-        new = g.with_edge(a, c, -1, 0)
-    elif xi_ab == xi_bc and xi_ab >= 0 and (g.eta(a, b) + g.eta(b, c)) % g.d != 0:
-        new = g.with_edge(a, c, xi_ab, (g.eta(a, b) + g.eta(b, c)) % g.d)
-    elif xi_ab < xi_bc:
-        new = g.with_edge(a, c, xi_bc, g.eta(b, c))
-    else:
-        return None
+    new = IterGraph(k=g.k, r=g.r, d=g.d, edges={**g.edges, key: label})
     return new if is_proper(new) else None
 
 
 def maximal_extension(g: IterGraph, order: str = "lex") -> IterGraph:
     """Saturate generate_step.  Terminates because each step adds an edge.
 
+    A triangle that breaks the rules stays in every extension, so an improper
+    g is its own fixpoint.  From a proper graph a step stays proper exactly
+    when the triangles through its new edge pass, so only those are checked.
     For subgraphs of a complete proper graph the fixpoint is independent of
     the scan order; "lex" and "reverse" exist so tests can assert that.
     """
-    triples = list(permutations(range(1, g.k + 1), 3))
+    vertices = range(1, g.k + 1)
+    triples = list(permutations(vertices, 3))
     if order == "reverse":
         triples.reverse()
     elif order != "lex":
         raise ValueError(f"unknown scan order {order!r}")
-    current = g
+    if not is_proper(g):
+        return g
+    d, edges = g.d, dict(g.edges)
     progressed = True
     while progressed:
         progressed = False
         for a, b, c in triples:
-            new = generate_step(current, a, b, c)
-            if new is not None:
-                current = new
+            key = (a, c) if a < c else (c, a)
+            label = None if key in edges else _step_label(edges, d, a, b, c)
+            if label is None:
+                continue
+            edges[key] = label
+            if _triangles_ok(edges, d, (sorted((*key, w)) for w in vertices if w not in key)):
                 progressed = True
                 break
-    return current
+            del edges[key]
+    return g if len(edges) == len(g.edges) else IterGraph(k=g.k, r=g.r, d=d, edges=edges)
 
 
 def is_potentially_complete(g: IterGraph, path: list[int]) -> bool:
@@ -246,22 +289,26 @@ def is_potentially_complete(g: IterGraph, path: list[int]) -> bool:
     for a, b in zip(path, path[1:]):
         if not g.has_edge(a, b):
             raise ValueError(f"path step {a}-{b} is not an edge")
-    xis = [g.xi(path[i], path[i + 1]) for i in range(len(path) - 1)]
-    rels = []
-    for left, right in zip(xis, xis[1:]):
-        rels.append(0 if left == right else (-1 if left < right else 1))
-    seen_descent = False
-    for i, rel in enumerate(rels):
-        if rel == 1:
+    return _chain_ok(g.edges, g.d, path)
+
+
+def _chain_ok(edges: Labels, d: int, path: list[int]) -> bool:
+    """The chain condition of is_potentially_complete on stored labels, for a
+    path whose steps are all edges."""
+    steps = []
+    for a, b in zip(path, path[1:]):
+        xi, eta = edges[(a, b)] if a < b else edges[(b, a)]
+        steps.append((xi, eta if a < b else (d - eta) % d))
+    seen_descent = was_equal = False
+    for (left, eta_in), (right, eta_out) in zip(steps, steps[1:]):
+        if left > right:
             seen_descent = True
-        elif rel == -1 and seen_descent:
-            return False
-        if rel == 0 and i + 1 < len(rels) and rels[i + 1] == 0:
-            return False
-    for i in range(1, len(path) - 1):
-        if g.xi(path[i - 1], path[i]) == g.xi(path[i], path[i + 1]) >= 0:
-            if (g.eta(path[i - 1], path[i]) + g.eta(path[i], path[i + 1])) % g.d == 0:
+        elif left < right:
+            if seen_descent:
                 return False
+        elif was_equal or (left >= 0 and (eta_in + eta_out) % d == 0):
+            return False
+        was_equal = left == right
     return True
 
 
@@ -350,14 +397,6 @@ def enumerate_complete_proper(r: int, k: int, d: int) -> list[IterGraph]:
         raise BudgetError(
             f"label space {len(options)}**{len(pairs)} exceeds enumeration cap {ENUMERATION_CAP}"
         )
-    index = {pair: i for i, pair in enumerate(pairs)}
-    # triangles checkable once pair i is labeled: both other edges come earlier
-    ready: list[list[tuple[int, int, int]]] = [[] for _ in pairs]
-    for a, b, c in permutations(range(1, k + 1), 3):
-        keys = [index[(min(a, b), max(a, b))], index[(min(b, c), max(b, c))],
-                index[(min(a, c), max(a, c))]]
-        ready[max(keys)].append((a, b, c))
-
     out: list[IterGraph] = []
     labels: Labels = {}
 
@@ -365,12 +404,13 @@ def enumerate_complete_proper(r: int, k: int, d: int) -> list[IterGraph]:
         if i == len(pairs):
             out.append(IterGraph(k=k, r=r, d=d, edges=dict(labels)))
             return
-        pair = pairs[i]
+        y, z = pairs[i]
+        # each triangle x < y < z is checked when its last pair, (y, z), is labeled
         for label in options:
-            labels[pair] = label
-            if all(_triple_ok(labels, d, a, b, c) for a, b, c in ready[i]):
+            labels[(y, z)] = label
+            if all(_triangle_ok(d, labels[(x, y)], label, labels[(x, z)]) for x in range(1, y)):
                 assign(i + 1)
-        del labels[pair]
+        del labels[(y, z)]
 
     assign(0)
     return out
@@ -416,12 +456,14 @@ def enumerate_trees(r: int, k: int, d: int) -> list[IterGraph]:
         raise BudgetError(f"tree label space exceeds enumeration cap {ENUMERATION_CAP}")
     out = []
     for shape in shapes:
+        # the chains depend on the shape only; one-step chains always pass
+        skeleton = IterGraph(k=k, r=r, d=d, edges=dict.fromkeys(shape))
+        chains = [path for a, b in combinations(range(1, k + 1), 2)
+                  if len(path := tree_path(skeleton, a, b)) > 2]
         for combo in product(options, repeat=len(shape)):
-            g = IterGraph(k=k, r=r, d=d)
-            for (a, b), (xi, eta) in zip(shape, combo):
-                g = g.with_edge(a, b, xi, eta)
-            if _chains_ok(g):
-                out.append(g)
+            edges = dict(zip(shape, combo))  # options are stored labels already
+            if all(_chain_ok(edges, d, path) for path in chains):
+                out.append(IterGraph(k=k, r=r, d=d, edges=edges))
     return out
 
 

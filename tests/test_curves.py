@@ -154,6 +154,12 @@ def test_count_curve_points_line():
     assert pts13.total == 14
 
 
+def test_count_curve_points_refuses_other_degree():
+    # a d = 3 twist read against the order-2 root of unity names no such curve
+    with pytest.raises(ValueError, match="graph has d=3, map has d=2"):
+        curves.count_curve_points(F13, IterGraph(k=2, r=0, d=3, edges={(1, 2): (0, 2)}))
+
+
 def test_count_curve_points_conic():
     pts = curves.count_curve_points(F5, CONIC)
     assert (pts.affine_count, pts.infinity_count, pts.total) == (4, 2, 6)

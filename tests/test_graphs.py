@@ -1,12 +1,107 @@
-from itertools import product
+import hashlib
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyiter import graphs, recur
+from polyiter import cli, graphs, recur
 from polyiter.errors import BudgetError
-from polyiter.graphs import IterGraph
+from polyiter.graphs import IterGraph, _eta, _xi
+
+
+# ---------------------------------------------------------------------------
+# Reference loops that the label-level kernels replaced, kept as oracles: the
+# triangle rule per ordered triple, the restart loop that re-checks the whole
+# graph after every candidate edge, and the chain condition per built graph.
+# ---------------------------------------------------------------------------
+
+def _triple_ok(edges, d, a, b, c):
+    """Triangle rules for the ordered triple (a, b, c), all three edges labeled."""
+    xi_ab, xi_bc, xi_ac = _xi(edges, a, b), _xi(edges, b, c), _xi(edges, a, c)
+    if xi_ab == xi_bc == -1:
+        return xi_ac == -1
+    if xi_ab < xi_bc:
+        return xi_ac == xi_bc and _eta(edges, d, a, c) == _eta(edges, d, b, c)
+    if xi_ab == xi_bc and xi_ab >= 0:
+        s = _eta(edges, d, a, b) + _eta(edges, d, b, c)
+        if s != d:
+            return xi_ac == xi_ab and _eta(edges, d, a, c) == s % d
+        return xi_ac < xi_ab
+    return True
+
+
+def oracle_is_proper(g):
+    for a, b, c in permutations(range(1, g.k + 1), 3):
+        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
+            if not _triple_ok(g.edges, g.d, a, b, c):
+                return False
+    return True
+
+
+def oracle_generate_step(g, a, b, c):
+    if not (g.has_edge(a, b) and g.has_edge(b, c)) or g.has_edge(a, c):
+        return None
+    xi_ab, xi_bc = g.xi(a, b), g.xi(b, c)
+    if xi_ab == xi_bc == -1:
+        new = g.with_edge(a, c, -1, 0)
+    elif xi_ab == xi_bc and xi_ab >= 0 and (g.eta(a, b) + g.eta(b, c)) % g.d != 0:
+        new = g.with_edge(a, c, xi_ab, (g.eta(a, b) + g.eta(b, c)) % g.d)
+    elif xi_ab < xi_bc:
+        new = g.with_edge(a, c, xi_bc, g.eta(b, c))
+    else:
+        return None
+    return new if oracle_is_proper(new) else None
+
+
+def oracle_maximal_extension(g, order="lex"):
+    triples = list(permutations(range(1, g.k + 1), 3))
+    if order == "reverse":
+        triples.reverse()
+    current = g
+    progressed = True
+    while progressed:
+        progressed = False
+        for a, b, c in triples:
+            new = oracle_generate_step(current, a, b, c)
+            if new is not None:
+                current = new
+                progressed = True
+                break
+    return current
+
+
+def oracle_potentially_complete(g, path):
+    xis = [g.xi(path[i], path[i + 1]) for i in range(len(path) - 1)]
+    rels = []
+    for left, right in zip(xis, xis[1:]):
+        rels.append(0 if left == right else (-1 if left < right else 1))
+    seen_descent = False
+    for i, rel in enumerate(rels):
+        if rel == 1:
+            seen_descent = True
+        elif rel == -1 and seen_descent:
+            return False
+        if rel == 0 and i + 1 < len(rels) and rels[i + 1] == 0:
+            return False
+    for i in range(1, len(path) - 1):
+        if g.xi(path[i - 1], path[i]) == g.xi(path[i], path[i + 1]) >= 0:
+            if (g.eta(path[i - 1], path[i]) + g.eta(path[i], path[i + 1])) % g.d == 0:
+                return False
+    return True
+
+
+def oracle_enumerate_trees(r, k, d):
+    out = []
+    for shape in graphs._tree_shapes(k):
+        for combo in product(graphs._label_options(r, d), repeat=len(shape)):
+            g = IterGraph(k=k, r=r, d=d)
+            for (a, b), (xi, eta) in zip(shape, combo):
+                g = g.with_edge(a, b, xi, eta)
+            if all(oracle_potentially_complete(g, graphs.tree_path(g, a, b))
+                   for a in range(1, k + 1) for b in range(a + 1, k + 1)):
+                out.append(g)
+    return out
 
 
 def edge_graph(k, r, d, items):
@@ -251,3 +346,104 @@ def test_enumeration_equals_filtered_label_space(d, r, k):
     found = graphs.enumerate_complete_proper(r, k, d)
     assert len(found) == len(set(found))
     assert set(found) == proper
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_triangle_ok_matches_ordered_triple_oracle(d):
+    # every label triple at levels -1..2, with stored twists from -1 to d: this
+    # covers twists on level -1 edges, twist 0 above it, and twists outside 0..d-1
+    labels = list(product(range(-1, 3), range(-1, d + 1)))
+    for xy, yz, xz in product(labels, repeat=3):
+        edges = {(1, 2): xy, (2, 3): yz, (1, 3): xz}
+        want = all(_triple_ok(edges, d, a, b, c) for a, b, c in permutations((1, 2, 3)))
+        assert graphs._triangle_ok(d, xy, yz, xz) == want, (xy, yz, xz)
+
+
+def random_labeling(data):
+    k = data.draw(st.integers(min_value=2, max_value=5))
+    r = data.draw(st.integers(min_value=-1, max_value=2))
+    d = data.draw(st.integers(min_value=2, max_value=4))
+    options = graphs._label_options(r, d)
+    edges = {}
+    for a in range(1, k + 1):
+        for b in range(a + 1, k + 1):
+            if data.draw(st.booleans()):
+                edges[(a, b)] = data.draw(st.sampled_from(options))
+    return IterGraph(k=k, r=r, d=d, edges=edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_extension_matches_restart_oracle(data):
+    # proper and improper labelings alike, in both scan orders
+    g = random_labeling(data)
+    assert graphs.is_proper(g) == oracle_is_proper(g)
+    for order in ("lex", "reverse"):
+        assert graphs.maximal_extension(g, order) == oracle_maximal_extension(g, order)
+    for a, b, c in permutations(range(1, g.k + 1), 3):
+        assert graphs.generate_step(g, a, b, c) == oracle_generate_step(g, a, b, c)
+
+
+@pytest.mark.parametrize("text", [
+    # improper (triangle 1-2-4 closes two -1 steps at level 1), yet path
+    # 1-2-3 proposes 1-3 and the only triangle through 1-3 passes
+    "4 1 2; 1-2:-1,0; 1-4:1,1; 2-3:-1,0; 2-4:-1,0",
+    # a proper 4-cycle: path 1-2-3 proposes 1-3, which triangle 1-3-4 refuses
+    "4 1 2; 1-2:1,1; 1-4:-1,0; 2-3:-1,0; 3-4:0,1",
+])
+def test_unextendable_graphs_are_their_own_extension(text):
+    g = graphs.parse_canonical(text)
+    for order in ("lex", "reverse"):
+        assert oracle_maximal_extension(g, order) == g
+        assert graphs.maximal_extension(g, order) == g
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("r", [-1, 0, 1])
+def test_tree_extension_matches_restart_oracle(d, r):
+    for k in (3, 4):
+        for tree in graphs.enumerate_trees(r, k, d):
+            for order in ("lex", "reverse"):
+                assert (graphs.maximal_extension(tree, order)
+                        == oracle_maximal_extension(tree, order)), (tree.canonical(), order)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("r", [-1, 0, 1, 2])
+def test_enumerate_trees_matches_oracle(d, r):
+    for k in range(1, 5):
+        found = [g.canonical() for g in graphs.enumerate_trees(r, k, d)]
+        assert found == [g.canonical() for g in oracle_enumerate_trees(r, k, d)]
+
+
+# exit codes and sha256 of stdout of `polyiter enum-graphs --d D --r R --k K
+# [--trees]` over K = 0..4, recorded from the ordered-triple implementation
+ENUM_PINS = {
+    (2, -1, False): "664bba83773f7c48163afbf38222e8773fa2b4bac45c98c13035f8b011dd8567",
+    (2, -1, True): "009aaf3f52d0e0194653e6240b981f51d047a9a43ab10d0345e4584c775d5415",
+    (2, 0, False): "5ae4b0ea97f59920f45abacf6c9cf9f52aa9e48769f57377e519d0ff1d8f1abe",
+    (2, 0, True): "2ce9931b8044a5ab6fe13b45af976e41fad4d9dbbe067ac0cb097403852e50ba",
+    (2, 1, False): "7cca498374ba16d5470a9ddbcc4cbe3fc33c1e9e134e1dd0ce79d5d6038a9b4c",
+    (2, 1, True): "10b9cbe63d1b72d3f0e095f3e7baa7a119e95f52cfd25025e06b413a043f6658",
+    (2, 2, False): "790b5da8774bb7bffae59d7df45cf986a70f62d6301f5a5da732defdfcdbb130",
+    (2, 2, True): "0d969b194eaf7c0dbbaff17bd11c2a001d09d1ef118656175ee280b6c5892247",
+    (3, -1, False): "ed40999a710e6cce392abb8734ab44be74c35ac01ae214d6e8c3bc5cadf6fc1c",
+    (3, -1, True): "caab99e7f3f4e78f8a7186d687403527b54e3f2c5d0adb6f29c208a82b682e12",
+    (3, 0, False): "bd319574f0ea517cc556acc5291259fe7aa3fea1472d88479e06fd4d950f9da1",
+    (3, 0, True): "9981a1cec79ad11b1d55e3924e728f62c7064073a30e174c71e36ed50984c14d",
+    (3, 1, False): "95a345f85da08318835216b46688f8ab910aa210f7dbe871e65b8ad7283670b7",
+    (3, 1, True): "88335f05cb4ffbcac0d85cb3fcf24a0c20940ac4ea34c6d1bdee008824e83018",
+    (3, 2, False): "a3f53bd385c1b19482dc4e3046ad3fd7f9156a30a2e76570664ac6761f4e9442",
+    (3, 2, True): "f6f793801d75a8a6a5a20c964f4d37d4928091f781d2dc77ac858656f19dc0f0",
+}
+
+
+@pytest.mark.parametrize("d, r, trees", list(ENUM_PINS), ids=str)
+def test_cli_enum_graphs_bytes_pinned(capsys, d, r, trees):
+    codes, out = [], ""
+    for k in range(5):
+        argv = ["enum-graphs", "--d", str(d), "--r", str(r), "--k", str(k)]
+        codes.append(cli.main(argv + ["--trees"] if trees else argv))
+        out += capsys.readouterr().out
+    assert codes == [0] * 5
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUM_PINS[(d, r, trees)]

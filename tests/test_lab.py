@@ -250,6 +250,8 @@ def test_cli_exit_codes():
     curves_args = ["curves", "--p", "5", "--d", "2", "--A", "1", "--C", "1"]
     assert cli.main([*curves_args, "--graph", "2 0 2; 1-3:0,1"]) == 2  # vertex out of range
     assert cli.main([*curves_args, "--graph", "2 0 2; 1-2:7,1"]) == 2  # level out of range
+    assert cli.main(["curves", "--p", "13", "--d", "2", "--A", "3", "--C", "7", "--N", "1",
+                     "--k", "2", "--graph", "2 0 3; 1-2:0,2"]) == 2  # graph degree != --d
     assert cli.main(["moments", "--p", "5", "--d", "2", "--A", "1", "--C", "1",
                      "--k", "-1"]) == 2
     # invalid configuration: no coordinates to count points on
