@@ -1,10 +1,11 @@
 """Brute-force point counts on the projective varieties cut out by iterate
-equations.  One kernel serves every count: each chart (x0 = 1 and x0 = 0) is
-a single (p,)*k boolean grid, the AND of the equations broadcast over
-whole-domain iterate tables, and the points at infinity are the slices
-whose first nonzero coordinate is 1.  A point set is its chart masks, so
-union is OR, intersection is AND and counts are count_nonzero.  Exactness
-over cleverness; budget guards keep the grids at desk scale.
+equations.  One kernel serves every count: a chart grid is the AND of the
+equations broadcast over whole-domain iterate tables, taken at per-axis
+index arrays.  The x0 = 1 chart is the full (p,)*k grid; on x0 = 0 only the
+slices whose first nonzero coordinate is 1 are built.  A point set is its
+chart masks, so union is OR, intersection is AND and counts are
+count_nonzero.  Exactness over cleverness; budget guards keep the grids at
+desk scale.
 """
 
 from __future__ import annotations
@@ -138,40 +139,49 @@ def _check_budget(p: int, k: int) -> None:
         raise BudgetError(f"p={p} exceeds point-counting budget {MAX_P_BY_K[k]} for k={k}")
 
 
+def _chart(
+    f: FieldParams, equations: list[tuple[int, int, int, int]],
+    tables: dict[int, np.ndarray], axes: list[np.ndarray],
+) -> np.ndarray:
+    """Boolean grid over the coordinates axes[0] x ... x axes[k-1] (index
+    arrays): the AND of every equation's level table, taken at the indices
+    of its two axes and broadcast onto them."""
+    p, k = f.p, len(axes)
+    grid = np.ones([len(axis) for axis in axes], dtype=bool)
+    for a, b, level, twist in equations:
+        tab = tables[level]
+        cond = np.equal.outer(tab[axes[a - 1]], pow(f.gamma, twist, p) * tab[axes[b - 1]] % p)
+        # a C-order reshape inserts the singleton axes around a-1 < b-1
+        shape = [1] * k
+        shape[a - 1], shape[b - 1] = cond.shape
+        grid &= cond.reshape(shape)
+    return grid
+
+
 def _variety(
     f: FieldParams, k: int, equations: list[tuple[int, int, int, int]]
 ) -> ProjectivePointSet:
     """Exact projective point set of the system F^level(x_a) = gamma**twist *
     F^level(x_b), one (a, b, level, twist) tuple with a < b per equation.
 
-    Each chart is one (p,)*k boolean grid: the AND of every equation's table,
-    broadcast onto its two axes.  The affine mask is the x0 = 1 grid.  On
-    x0 = 0 the points whose first nonzero coordinate is the 1 at position
-    lead are the slice grid[0, ..., 0, 1] (lead indices; 0-d when lead == k).
+    The affine mask is the x0 = 1 chart over every coordinate.  On x0 = 0
+    only the points whose first nonzero coordinate is the 1 at position lead
+    are built: coordinates 0 before lead, 1 at lead and any after it, a
+    grid of p**(k-lead) cells per lead.
     """
     p = f.p
     _check_budget(p, k)
-    grids = []
-    for at_infinity in (False, True):
-        tables = {
-            level: _iterate_table(f, level, at_infinity)
-            for level in {level for _, _, level, _ in equations}
-        }
-        grid = np.ones((p,) * k, dtype=bool)
-        for a, b, level, twist in equations:
-            tab = tables[level]
-            cond = np.equal.outer(tab, pow(f.gamma, twist, p) * tab % p)
-            # a C-order reshape inserts the singleton axes around a-1 < b-1
-            shape = [1] * k
-            shape[a - 1] = shape[b - 1] = p
-            grid &= cond.reshape(shape)
-        grids.append(grid)
-    affine, infinity = grids
+    levels = {level for _, _, level, _ in equations}
+    affine = {level: _iterate_table(f, level, False) for level in levels}
+    infinity = {level: _iterate_table(f, level, True) for level in levels}
+    every, zero, one = np.arange(p), np.array([0]), np.array([1])
     return ProjectivePointSet(
-        affine=affine,
-        infinity=np.concatenate(
-            [infinity[(0,) * (lead - 1) + (1,)].ravel() for lead in range(1, k + 1)]
-        ),
+        affine=_chart(f, equations, affine, [every] * k),
+        infinity=np.concatenate([
+            _chart(f, equations, infinity, [zero] * (lead - 1) + [one] + [every] * (k - lead))
+            .ravel()
+            for lead in range(1, k + 1)
+        ]),
     )
 
 

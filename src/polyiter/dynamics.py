@@ -75,55 +75,101 @@ def eval_map(f: FieldParams, x: int) -> int:
     return (f.A * pow(x % f.p, f.d, f.p) + f.C) % f.p
 
 
+def _mirror(table: np.ndarray, p: int, odd: bool, shift: int) -> None:
+    """Fill table[x] for x > p//2 in place from table[p - x]: the same value
+    when the map is even in x, (shift - value) % p when it is odd (shift is
+    then twice the value at 0).  The % p matters on a composite modulus,
+    where an odd power of some x != 0 is 0."""
+    half = p // 2 + 1
+    high = table[half:]
+    mirror = table[p - half:0:-1]  # table[p - x] for x = half..p-1
+    if odd:
+        np.subtract(shift, mirror, out=high)
+        np.remainder(high, p, out=high)
+    else:
+        high[:] = mirror
+
+
 # One entry: sweeps visit every instance of a prime in a row, and a p-length
 # table per slot must not pile up across primes.
 @lru_cache(maxsize=1)
 def _power_table(p: int, e: int) -> np.ndarray:
     """x -> x**e mod p for all residues, for e >= 1: left-to-right
-    square-and-multiply on arrays."""
-    base = np.arange(p, dtype=np.int64)
-    result = base
+    square-and-multiply in place on x <= p//2, and the rest mirrored from
+    (p - x)**e = (-1)**e * x**e."""
+    half = p // 2 + 1
+    base = np.arange(half, dtype=np.int64)
+    result = np.empty(p, dtype=np.int64)
+    low = result[:half]
+    low[:] = base
     for bit in bin(e)[3:]:
-        result = result * result % p
+        np.multiply(low, low, out=low)
+        np.remainder(low, p, out=low)
         if bit == "1":
-            result = result * base % p
+            np.multiply(low, base, out=low)
+            np.remainder(low, p, out=low)
+    _mirror(result, p, e % 2 == 1, 0)
     result.setflags(write=False)
     return result
 
 
 def step_table(f: FieldParams) -> np.ndarray:
-    """x -> f(x) for every residue, as one vectorized pass."""
-    table = (f.A * _power_table(f.p, f.d) + f.C) % f.p
+    """x -> f(x) for every residue: computed in place on x <= p//2 and
+    mirrored from f(p - x) = f(x) for even d, 2C - f(x) for odd d."""
+    p = f.p
+    half = p // 2 + 1
+    table = np.empty(p, dtype=np.int64)
+    low = table[:half]
+    np.multiply(_power_table(p, f.d)[:half], f.A, out=low)
+    low += f.C
+    low %= p
+    _mirror(table, p, f.d % 2 == 1, 2 * f.C)
     table.setflags(write=False)
     return table
 
 
-def _iterate(table: np.ndarray, arr: np.ndarray, N: int) -> np.ndarray:
-    """arr mapped N >= 1 times through table, by binary powering of the
-    table: floor(log2 N) + popcount(N) gathers, no square after the top bit."""
-    while True:
-        if N & 1:
+def _iterate(table: np.ndarray, arr: np.ndarray, n: int) -> np.ndarray:
+    """arr mapped n >= 0 times through table.  With n applications left, each
+    step takes the schedule that gathers fewer elements: n gathers of arr
+    through the current table, or binary powering at n.bit_length() - 1
+    squarings of the table plus popcount(n) gathers of arr."""
+    while n > 1 and n * len(arr) > (
+        (n.bit_length() - 1) * len(table) + n.bit_count() * len(arr)
+    ):
+        if n & 1:
             arr = table[arr]
-        N >>= 1
-        if not N:
-            return arr
+        n >>= 1
         table = table[table]
+    for _ in range(n):
+        arr = table[arr]
+    return arr
 
 
 def apply_map_to_domain(f: FieldParams, N: int) -> np.ndarray:
-    """Array of f^N(x) for all x, by binary powering of the step table."""
+    """Array of f^N(x) for all x.  With N = 2**t * m, m odd, the step table
+    f is squared t times and the other m - 1 applications go through
+    _iterate to that table itself, so no pass is a copy of the identity."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
-    arr = np.arange(f.p, dtype=np.int64)
-    return _iterate(step_table(f), arr, N) if N else arr
+    if N == 0:
+        return np.arange(f.p, dtype=np.int64)
+    table = step_table(f)
+    if N == 1:
+        return table.copy()
+    while not N & 1:
+        table = table[table]
+        N >>= 1
+    return _iterate(table, table, N - 1)
 
 
-def _image_from_table(table: np.ndarray, N: int) -> int:
+def _image_from_table(table: np.ndarray, N: int, even: bool) -> int:
     """#f^N(F_p) for N >= 1, as #f^(N-1)(S_1): S_1 = f(F_p) is read off a
     hit mask, so the first gather over its (p-1)/d + 1 points walks the table
-    in ascending order, and the values are counted on the cleared mask."""
+    in ascending order, and the values are counted on the cleared mask.  An
+    even map (table[p - x] == table[x]) takes every value on x <= p//2, so
+    only that half is marked."""
     hit = np.zeros(len(table), dtype=bool)
-    hit[table] = True
+    hit[table[: len(table) // 2 + 1] if even else table] = True
     if N > 1:
         image = np.flatnonzero(hit)
         hit[:] = False
@@ -134,7 +180,7 @@ def _image_from_table(table: np.ndarray, N: int) -> int:
 def image_size(f: FieldParams, N: int) -> int:
     if N < 0:
         raise ValueError("depth must be nonnegative")
-    return _image_from_table(step_table(f), N) if N else f.p
+    return _image_from_table(step_table(f), N, f.d % 2 == 0) if N else f.p
 
 
 def preimage_distribution(f: FieldParams, N: int) -> PreimageDistribution:
@@ -233,11 +279,12 @@ def zero_count_identity(
     return direct, via_q
 
 
-def _stats_from_table(table: np.ndarray) -> GraphStats:
-    """Decompose a functional graph given its successor table, by pointer
-    doubling over whole arrays (Wyllie's list ranking).
+def _decompose(table: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Distance to the cycle per vertex, the number of cycles and the number
+    of cyclic vertices of a successor table, by pointer doubling over whole
+    arrays (Wyllie's list ranking).
 
-    With L = p.bit_length(), 2**L > p exceeds every tail.  L self-gathers give
+    With L = n.bit_length(), 2**L > n exceeds every tail.  L self-gathers give
     hop = f^(2**L), whose image is the cyclic set.  Rounds then sum the
     non-cyclic indicator (the distance to the cycle) over the window x, f(x),
     ..., f^(2**i - 1)(x) until the next window is cyclic everywhere, once 2**i
@@ -245,11 +292,11 @@ def _stats_from_table(table: np.ndarray) -> GraphStats:
     permutation, and the least label over 2**m.bit_length() > m steps ahead is
     its own label at exactly one vertex per cycle.
     """
-    p = len(table)
+    n = len(table)
     hop = table
-    for _ in range(p.bit_length()):
+    for _ in range(n.bit_length()):
         hop = hop[hop]
-    cyclic = np.zeros(p, dtype=bool)
+    cyclic = np.zeros(n, dtype=bool)
     cyclic[hop] = True
     dist = (~cyclic).astype(np.int64)
     hop = table
@@ -258,19 +305,37 @@ def _stats_from_table(table: np.ndarray) -> GraphStats:
         hop = hop[hop]
     cyc = np.flatnonzero(cyclic)
     m = len(cyc)
-    rank = np.empty(p, dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)
     rank[cyc] = np.arange(m)
     hop = rank[table[cyc]]
     low = np.arange(m)
     for _ in range(m.bit_length()):
         low = np.minimum(low, low[hop])
         hop = hop[hop]
+    return dist, int(np.count_nonzero(low == np.arange(m))), m
+
+
+def _stats_from_table(table: np.ndarray) -> GraphStats:
+    """Decompose a functional graph given its successor table.
+
+    Every cycle and every vertex with a predecessor lies in the table's image
+    S_1, read off a hit mask and relabelled 0..m1-1 in ascending order; the
+    doubling runs on the induced table g = rank[table[S_1]] alone,
+    (p-1)/d + 1 vertices for a polynomial map.  The in-degree-0 vertices are
+    exactly the complement of S_1, and each one's tail is one step more than
+    the distance of its successor.
+    """
+    p = len(table)
     hit = np.zeros(p, dtype=bool)
     hit[table] = True
-    tails = dist[~hit]
+    image = np.flatnonzero(hit)
+    rank = np.empty(p, dtype=np.int64)
+    rank[image] = np.arange(len(image))
+    dist, num_cycles, cyclic_count = _decompose(rank[table[image]])
+    tails = 1 + dist[rank[table[~hit]]]
     return GraphStats(
-        num_cycles=int(np.count_nonzero(low == np.arange(m))),
-        sum_cycle_lengths=m,
+        num_cycles=num_cycles,
+        sum_cycle_lengths=cyclic_count,
         sum_precyclic_path_lengths=int(tails.sum()),
         max_tail=int(tails.max(initial=0)),
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -83,10 +83,12 @@ def _instances(cfg: SweepConfig, p: int) -> tuple[list[FieldParams], int]:
     """
     maps: list[FieldParams] = []
     rejected = 0
+    # validated once per prime; every pair has A in [1, p) and C in [0, p)
+    base = poly_map(p, cfg.d, 1, 0)
 
     def admit(A: int, C: int) -> None:
         nonlocal rejected
-        f = poly_map(p, cfg.d, A, C)
+        f = replace(base, A=A, C=C)
         if cfg.require_precondition and not dynamics.check_precondition(f, cfg.N):
             rejected += 1
         else:
@@ -120,11 +122,11 @@ def sweep_theorem(cfg: SweepConfig) -> tuple[list[dict], dict]:
         maps, rejected = _instances(cfg, p)
         total_rejected += rejected
         total_drawn += rejected + len(maps)
+        mu_p = float(mu_n * p)
         for f in maps:
             # maps were already filtered on the precondition when it is required
             held = cfg.require_precondition or dynamics.check_precondition(f, cfg.N)
             img = dynamics.image_size(f, cfg.N)
-            mu_p = float(mu_n * p)
             records.append({
                 "p": p, "d": cfg.d, "A": f.A, "C": f.C, "N": cfg.N,
                 "image_size": img,
@@ -198,7 +200,7 @@ def graph_sweep(cfg: SweepConfig) -> tuple[list[dict], dict]:
         for f in maps:
             table = dynamics.step_table(f)
             stats = dynamics._stats_from_table(table)
-            image_n0 = dynamics._image_from_table(table, n0)
+            image_n0 = dynamics._image_from_table(table, n0, cfg.d % 2 == 0)
             v2_ok = image_n0 < v2_limit
             records.append({
                 "p": p, "d": cfg.d, "A": f.A, "C": f.C,

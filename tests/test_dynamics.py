@@ -70,6 +70,17 @@ def test_apply_map_matches_pass_loop(f, N):
     assert dynamics.apply_map_to_domain(f, N).tolist() == apply_map_oracle(f, N).tolist()
 
 
+@settings(max_examples=60, deadline=None)
+@given(f=maps_to_300())
+@example(f=F5)
+@example(f=poly_map(7, 3, 2, 3))
+@example(f=poly_map(211, 5, 4, 210))
+def test_step_table_matches_eval_map(f):
+    # the step table is built on x <= p//2 and mirrored, f(p - x) = f(x) for
+    # even d and 2C - f(x) for odd d
+    assert dynamics.step_table(f).tolist() == [dynamics.eval_map(f, x) for x in range(f.p)]
+
+
 def image_size_oracle(f, N):
     return int(np.count_nonzero(np.bincount(apply_map_oracle(f, N), minlength=f.p)))
 
@@ -99,9 +110,58 @@ def test_image_size_refuses_negative_depth():
 @example(p=1)
 @example(p=2)
 @example(p=101)
+# composite moduli where an odd power of some x != 0 is 0, so the mirrored
+# half needs (-v) % p, not p - v: 2**3 mod 8, 3**3 mod 9, 6**3 mod 18, 3**3 mod 27
+@example(p=8)
+@example(p=9)
+@example(p=18)
+@example(p=27)
 def test_power_table_matches_builtin_pow(p):
     for e in range(1, 2 * p + 1):
         assert dynamics._power_table(p, e).tolist() == [pow(x, e, p) for x in range(p)]
+
+
+@pytest.mark.parametrize("e", [2, 3, 5])
+def test_power_table_at_the_mirror_seam_for_large_p(e):
+    p = 1000003
+    table = dynamics._power_table(p, e)
+    for x in (p // 2, p // 2 + 1, p - 1):
+        assert int(table[x]) == pow(x, e, p)
+
+
+def iterate_oracle(table, arr, n):
+    for _ in range(n):
+        arr = table[arr]
+    return arr
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=maps_to_300(), x=st.integers(min_value=0, max_value=299))
+@example(f=poly_map(257, 2, 3, 5), x=0)
+@example(f=poly_map(193, 2, 1, 0), x=7)
+def test_iterate_matches_successive_gathers(f, x):
+    # arrays of one point, of the image set's size and of the whole domain
+    # put the direct and the binary-powering schedules on both sides of the
+    # switch at every n up to 40
+    table = dynamics.step_table(f)
+    image = np.flatnonzero(np.bincount(table, minlength=f.p))
+    assert len(image) == (f.p - 1) // f.d + 1
+    for arr in (np.array([x % f.p]), image, np.arange(f.p)):
+        for n in range(41):
+            got = dynamics._iterate(table, arr, n)
+            assert got.tolist() == iterate_oracle(table, arr, n).tolist(), n
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 6])
+def test_apply_map_returns_a_fresh_writable_array(N):
+    f = poly_map(101, 2, 3, 7)
+    arr = dynamics.apply_map_to_domain(f, N)
+    assert arr.flags.writeable
+    assert not np.shares_memory(arr, dynamics.step_table(f))
+    assert not np.shares_memory(arr, dynamics._power_table(f.p, f.d))
+    expected = apply_map_oracle(f, N).tolist()
+    arr[:] = 0
+    assert dynamics.apply_map_to_domain(f, N).tolist() == expected
 
 
 def test_image_size():
