@@ -162,14 +162,29 @@ def apply_map_to_domain(f: FieldParams, N: int) -> np.ndarray:
     return _iterate(table, table, N - 1)
 
 
-def _image_from_table(table: np.ndarray, N: int, even: bool) -> int:
-    """#f^N(F_p) for N >= 1, as #f^(N-1)(S_1): S_1 = f(F_p) is read off a
-    hit mask, so the first gather over its (p-1)/d + 1 points walks the table
-    in ascending order, and the values are counted on the cleared mask.  An
-    even map (table[p - x] == table[x]) takes every value on x <= p//2, so
-    only that half is marked."""
+def _image_mask(table: np.ndarray, even: bool) -> np.ndarray:
+    """Hit mask of the table's values S_1.  An even map (table[p - x] ==
+    table[x]) takes every value on x <= p//2, so only that half is marked."""
     hit = np.zeros(len(table), dtype=bool)
     hit[table[: len(table) // 2 + 1] if even else table] = True
+    return hit
+
+
+def _image_graph(table: np.ndarray, even: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hit, rank, g): the mask of S_1, its labels 0..m1-1 in ascending order,
+    and g = rank[table[S_1]], the graph the table induces on S_1."""
+    hit = _image_mask(table, even)
+    image = np.flatnonzero(hit)
+    rank = np.empty(len(table), dtype=np.int64)
+    rank[image] = np.arange(len(image))
+    return hit, rank, rank[table[image]]
+
+
+def _image_from_table(table: np.ndarray, N: int, even: bool) -> int:
+    """#f^N(F_p) for N >= 1, as #f^(N-1)(S_1): S_1 = f(F_p) is read off the
+    hit mask, so the first gather over its (p-1)/d + 1 points walks the table
+    in ascending order, and the values are counted on the cleared mask."""
+    hit = _image_mask(table, even)
     if N > 1:
         image = np.flatnonzero(hit)
         hit[:] = False
@@ -190,11 +205,40 @@ def preimage_distribution(f: FieldParams, N: int) -> PreimageDistribution:
     return PreimageDistribution(counts=counts, depth=N)
 
 
+# One entry, read by every moment of one (map, depth) in a row; it holds
+# max rho_N + 1 <= min(d**N, p) + 1 integers whatever p is.
+@lru_cache(maxsize=1)
+def _profile(f: FieldParams, N: int) -> np.ndarray:
+    """n_j = #{m : rho_N(m) = j}, read-only.  As d | p - 1, each y != C in
+    S_1 = f(F_p) has d preimages and C has one, so for N >= 1 rho_N is 0 off
+    S_1 and on it d times the histogram of g^(N-1), less d - 1 at
+    g^(N-1)(C), with g the graph f induces on S_1."""
+    if N < 1:
+        profile = np.bincount(preimage_distribution(f, N).counts)
+    else:
+        values, c = np.arange((f.p - 1) // f.d + 1), 0  # g^0: any label for C
+        if N > 1:
+            table = step_table(f)
+            if f.d == 2:  # label x <= p//2 stands for f(x); f(y) = f(p - y)
+                low = table[: f.p // 2 + 1]
+                g = np.minimum(low, f.p - low)  # C = f(0) keeps label 0
+            else:
+                _, rank, g = _image_graph(table, f.d % 2 == 0)
+                c = rank[table[0]]
+            values = _iterate(g, g, N - 2)
+        counts = np.bincount(values, minlength=len(values)) * f.d
+        counts[values[c]] -= f.d - 1
+        profile = np.bincount(counts)
+        profile[0] += f.p - len(values)
+    profile.setflags(write=False)
+    return profile
+
+
 def moment_w(f: FieldParams, N: int, k: int) -> int:
     """W(N, k) = sum over m of rho_N(m)**k, with 0**0 = 1 (so W(N,0) = p)."""
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    return _power_sum(np.bincount(preimage_distribution(f, N).counts), k)
+    return _power_sum(_profile(f, N), k)
 
 
 def _power_sum(profile: np.ndarray, k: int) -> int:
@@ -271,8 +315,8 @@ def zero_count_identity(
 ) -> tuple[int, Fraction]:
     """(direct, via_q): unhit residues counted directly, and the same count
     recovered as sum_k C_k * W(N, k).  The contract is via_q == direct."""
+    profile = _profile(f, N)
     coeffs = q_coeffs(f.d, N, degree_cap)
-    profile = np.bincount(preimage_distribution(f, N).counts)
     direct = int(profile[0])
     moments = [_power_sum(profile, k) for k in range(len(coeffs))]
     via_q = sum(ck * wk for ck, wk in zip(coeffs, moments))
@@ -315,7 +359,7 @@ def _decompose(table: np.ndarray) -> tuple[np.ndarray, int, int]:
     return dist, int(np.count_nonzero(low == np.arange(m))), m
 
 
-def _stats_from_table(table: np.ndarray) -> GraphStats:
+def _stats_from_table(table: np.ndarray, even: bool = False) -> GraphStats:
     """Decompose a functional graph given its successor table.
 
     Every cycle and every vertex with a predecessor lies in the table's image
@@ -325,13 +369,8 @@ def _stats_from_table(table: np.ndarray) -> GraphStats:
     exactly the complement of S_1, and each one's tail is one step more than
     the distance of its successor.
     """
-    p = len(table)
-    hit = np.zeros(p, dtype=bool)
-    hit[table] = True
-    image = np.flatnonzero(hit)
-    rank = np.empty(p, dtype=np.int64)
-    rank[image] = np.arange(len(image))
-    dist, num_cycles, cyclic_count = _decompose(rank[table[image]])
+    hit, rank, g = _image_graph(table, even)
+    dist, num_cycles, cyclic_count = _decompose(g)
     tails = 1 + dist[rank[table[~hit]]]
     return GraphStats(
         num_cycles=num_cycles,
@@ -342,4 +381,4 @@ def _stats_from_table(table: np.ndarray) -> GraphStats:
 
 
 def functional_graph_stats(f: FieldParams) -> GraphStats:
-    return _stats_from_table(step_table(f))
+    return _stats_from_table(step_table(f), f.d % 2 == 0)

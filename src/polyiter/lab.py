@@ -199,7 +199,7 @@ def graph_sweep(cfg: SweepConfig) -> tuple[list[dict], dict]:
         v2_limit = (2 / (cfg.d - 1) + 1) * p / n0
         for f in maps:
             table = dynamics.step_table(f)
-            stats = dynamics._stats_from_table(table)
+            stats = dynamics._stats_from_table(table, cfg.d % 2 == 0)
             image_n0 = dynamics._image_from_table(table, n0, cfg.d % 2 == 0)
             v2_ok = image_n0 < v2_limit
             records.append({
@@ -292,7 +292,8 @@ def _moment_matrix(desk: bool) -> list[tuple[int, int, list[tuple[int, int]]]]:
 
 
 def check_moment_identities(desk: bool = True) -> CheckResult:
-    """Mass conservation, moment/tuple-count agreement, the exact depth-1
+    """Mass conservation, the image-set preimage profile against the
+    full-domain histogram, moment/tuple-count agreement, the exact depth-1
     image formula, and the factorial-polynomial zero-count identity."""
     name = "moment-identities"
     for p, d, pairs in _moment_matrix(desk):
@@ -304,6 +305,11 @@ def check_moment_identities(desk: bool = True) -> CheckResult:
                     return CheckResult(name, False, f"mass leak p={p} d={d} A={A} C={C} N={N}")
                 if int(dist.counts.max()) > d**N:
                     return CheckResult(name, False, f"preimage count above d**N at p={p} d={d}")
+                # the moments read the image-set profile; dist is the full domain
+                if not np.array_equal(dynamics._profile(f, N), np.bincount(dist.counts)):
+                    return CheckResult(
+                        name, False,
+                        f"profile != full-domain histogram p={p} d={d} A={A} C={C} N={N}")
                 if dynamics.moment_w(f, N, 1) != p:
                     return CheckResult(name, False, f"W(N,1) != p at p={p} d={d}")
                 if dynamics.moment_w(f, N, 0) != p:

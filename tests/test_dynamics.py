@@ -391,6 +391,63 @@ def test_zero_count_identity_matches_pointwise_oracle(f, N):
     assert dynamics.zero_count_identity(f, N, degree_cap=64) == (direct, via_q)
 
 
+# depth 1, which builds no table, and N - 1 with few and with many binary
+# digits set, on either side of each power of two
+PROFILE_DEPTHS = sorted(
+    {0, 1, 2, 3, *(n for j in range(1, 12) for n in (2**j - 1, 2**j, 2**j + 1))}
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=maps_to_300())
+@example(f=F5)
+@example(f=poly_map(7, 3, 2, 0))
+@example(f=poly_map(257, 256, 3, 5))
+@example(f=poly_map(293, 2, 1, 0))
+@example(f=poly_map(281, 5, 4, 280))
+def test_profile_matches_full_domain_histogram(f):
+    # apply_map_oracle's pass loop, walked once through the sorted depths
+    table = dynamics.step_table(f)
+    arr = np.arange(f.p, dtype=np.int64)
+    depth = 0
+    for N in PROFILE_DEPTHS:
+        for _ in range(N - depth):
+            arr = table[arr]
+        depth = N
+        expected = np.bincount(np.bincount(arr, minlength=f.p))
+        assert np.array_equal(dynamics._profile(f, N), expected), N
+
+
+def test_profile_cache_keys_on_map_and_depth():
+    dynamics._profile.cache_clear()
+    f, g = poly_map(101, 4, 3, 7), poly_map(101, 4, 3, 7)
+    assert f == g and f is not g
+    assert dynamics.moment_w(f, 3, 2) == moment_oracle(f, 3, 2)
+    assert dynamics.moment_w(g, 3, 3) == moment_oracle(f, 3, 3)
+    assert dynamics._profile.cache_info().hits == 1
+    for other in (poly_map(101, 4, 5, 7), poly_map(101, 4, 3, 8)):
+        assert dynamics.moment_w(other, 3, 2) == moment_oracle(other, 3, 2)
+        assert dynamics._profile.cache_info().hits == 1
+
+
+def test_profile_is_read_only():
+    profile = dynamics._profile(poly_map(13, 3, 2, 5), 2)
+    assert not profile.flags.writeable
+    with pytest.raises(ValueError):
+        profile[0] = 1
+
+
+def test_moments_refuse_negative_depth_and_recover():
+    f = poly_map(29, 4, 3, 5)
+    with pytest.raises(ValueError):
+        dynamics.moment_w(f, -1, 2)
+    assert dynamics.moment_w(f, 2, 2) == moment_oracle(f, 2, 2)
+    with pytest.raises(ValueError):
+        dynamics.zero_count_identity(f, -1)
+    direct, via_q = dynamics.zero_count_identity(f, 1)
+    assert direct == f.p - dynamics.image_size(f, 1) and via_q == direct
+
+
 def graph_stats_oracle(table):
     """The path-stack reference loop for _stats_from_table.
 
