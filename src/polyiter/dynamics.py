@@ -8,6 +8,7 @@ are numpy arrays of int64; with p < 2**31 every intermediate product fits.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -170,21 +171,29 @@ def _image_mask(table: np.ndarray, even: bool) -> np.ndarray:
     return hit
 
 
-def _image_graph(table: np.ndarray, even: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(hit, rank, g): the mask of S_1, its labels 0..m1-1 in ascending order,
-    and g = rank[table[S_1]], the graph the table induces on S_1."""
-    hit = _image_mask(table, even)
+def _image_graph(table: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """(hit, g, label): the mask of S_1, the graph g the table induces on S_1
+    with labels 0..m1-1, and label(y), the label of table[y].  At d = 2 label
+    x <= p//2 stands for f(x), as f(y) = f(p - y): g = min(f, p - f) on that
+    half and label(y) = min(y, p - y).  Any other d, including an arbitrary
+    successor table at d = 1, labels S_1 in ascending order through a rank
+    array."""
+    p = len(table)
+    hit = _image_mask(table, d % 2 == 0)
+    if d == 2:
+        low = table[: p // 2 + 1]
+        return hit, np.minimum(low, p - low), lambda y: np.minimum(y, p - y)
     image = np.flatnonzero(hit)
-    rank = np.empty(len(table), dtype=np.int64)
+    rank = np.empty(p, dtype=np.int64)
     rank[image] = np.arange(len(image))
-    return hit, rank, rank[table[image]]
+    return hit, rank[table[image]], lambda y: rank[table[y]]
 
 
-def _image_from_table(table: np.ndarray, N: int, even: bool) -> int:
+def _image_from_table(table: np.ndarray, N: int, d: int) -> int:
     """#f^N(F_p) for N >= 1, as #f^(N-1)(S_1): S_1 = f(F_p) is read off the
     hit mask, so the first gather over its (p-1)/d + 1 points walks the table
     in ascending order, and the values are counted on the cleared mask."""
-    hit = _image_mask(table, even)
+    hit = _image_mask(table, d % 2 == 0)
     if N > 1:
         image = np.flatnonzero(hit)
         hit[:] = False
@@ -195,7 +204,7 @@ def _image_from_table(table: np.ndarray, N: int, even: bool) -> int:
 def image_size(f: FieldParams, N: int) -> int:
     if N < 0:
         raise ValueError("depth must be nonnegative")
-    return _image_from_table(step_table(f), N, f.d % 2 == 0) if N else f.p
+    return _image_from_table(step_table(f), N, f.d) if N else f.p
 
 
 def preimage_distribution(f: FieldParams, N: int) -> PreimageDistribution:
@@ -218,14 +227,8 @@ def _profile(f: FieldParams, N: int) -> np.ndarray:
     else:
         values, c = np.arange((f.p - 1) // f.d + 1), 0  # g^0: any label for C
         if N > 1:
-            table = step_table(f)
-            if f.d == 2:  # label x <= p//2 stands for f(x); f(y) = f(p - y)
-                low = table[: f.p // 2 + 1]
-                g = np.minimum(low, f.p - low)  # C = f(0) keeps label 0
-            else:
-                _, rank, g = _image_graph(table, f.d % 2 == 0)
-                c = rank[table[0]]
-            values = _iterate(g, g, N - 2)
+            _, g, label = _image_graph(step_table(f), f.d)
+            values, c = _iterate(g, g, N - 2), label(0)
         counts = np.bincount(values, minlength=len(values)) * f.d
         counts[values[c]] -= f.d - 1
         profile = np.bincount(counts)
@@ -359,19 +362,19 @@ def _decompose(table: np.ndarray) -> tuple[np.ndarray, int, int]:
     return dist, int(np.count_nonzero(low == np.arange(m))), m
 
 
-def _stats_from_table(table: np.ndarray, even: bool = False) -> GraphStats:
-    """Decompose a functional graph given its successor table.
+def _stats_from_table(table: np.ndarray, d: int = 1) -> GraphStats:
+    """Decompose a functional graph given its successor table, that of a
+    degree-d map (d = 1, the default, assumes nothing of the table).
 
     Every cycle and every vertex with a predecessor lies in the table's image
-    S_1, read off a hit mask and relabelled 0..m1-1 in ascending order; the
-    doubling runs on the induced table g = rank[table[S_1]] alone,
-    (p-1)/d + 1 vertices for a polynomial map.  The in-degree-0 vertices are
-    exactly the complement of S_1, and each one's tail is one step more than
-    the distance of its successor.
+    S_1, labelled 0..m1-1 by _image_graph; the doubling runs on the induced
+    graph g alone, (p-1)/d + 1 vertices for a polynomial map.  The
+    in-degree-0 vertices are exactly the complement of S_1, and each one's
+    tail is one step more than the distance of its successor.
     """
-    hit, rank, g = _image_graph(table, even)
+    hit, g, label = _image_graph(table, d)
     dist, num_cycles, cyclic_count = _decompose(g)
-    tails = 1 + dist[rank[table[~hit]]]
+    tails = 1 + dist[label(np.flatnonzero(~hit))]
     return GraphStats(
         num_cycles=num_cycles,
         sum_cycle_lengths=cyclic_count,
@@ -381,4 +384,4 @@ def _stats_from_table(table: np.ndarray, even: bool = False) -> GraphStats:
 
 
 def functional_graph_stats(f: FieldParams) -> GraphStats:
-    return _stats_from_table(step_table(f), f.d % 2 == 0)
+    return _stats_from_table(step_table(f), f.d)

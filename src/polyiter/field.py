@@ -83,18 +83,6 @@ def validate_params(p: int, d: int, A: int) -> ValidationResult:
     return ValidationResult(True)
 
 
-def multiplicative_order(x: int, p: int) -> int:
-    """Order of x in F_p^*, by direct powering (x must be nonzero mod p)."""
-    x %= p
-    if x == 0:
-        raise ValueError("0 has no multiplicative order")
-    acc, order = x, 1
-    while acc != 1:
-        acc = acc * x % p
-        order += 1
-    return order
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     q = 2

@@ -57,13 +57,6 @@ class SweepConfig:
             raise ValueError("per_prime must be positive")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
 def primes_with_degree(lo: int, hi: int, d: int) -> list[int]:
     """Primes p in [lo, hi] with d | p - 1 (others are skipped, not fatal)."""
     return [p for p in range(max(lo, 2), hi + 1) if (p - 1) % d == 0 and is_prime(p)]
@@ -199,8 +192,8 @@ def graph_sweep(cfg: SweepConfig) -> tuple[list[dict], dict]:
         v2_limit = (2 / (cfg.d - 1) + 1) * p / n0
         for f in maps:
             table = dynamics.step_table(f)
-            stats = dynamics._stats_from_table(table, cfg.d % 2 == 0)
-            image_n0 = dynamics._image_from_table(table, n0, cfg.d % 2 == 0)
+            stats = dynamics._stats_from_table(table, cfg.d)
+            image_n0 = dynamics._image_from_table(table, n0, cfg.d)
             v2_ok = image_n0 < v2_limit
             records.append({
                 "p": p, "d": cfg.d, "A": f.A, "C": f.C,
@@ -229,9 +222,18 @@ def graph_sweep(cfg: SweepConfig) -> tuple[list[dict], dict]:
 # verification suite
 # ---------------------------------------------------------------------------
 
+class CheckFailed(Exception):
+    """A verify check's first failing instance; the message is its detail."""
+
+
+def _require(ok: bool, detail: str) -> None:
+    if not ok:
+        raise CheckFailed(detail)
+
+
 def check_mu_v_consistency(
     d: int, r_max: int, tables: list[recur.CoeffTable] | None = None
-) -> CheckResult:
+) -> str:
     """Coefficient tables against the scalar recurrences.
 
     tables is injectable so a corrupted table is reported here, not upstream.
@@ -241,22 +243,21 @@ def check_mu_v_consistency(
     mus = recur.mu_sequence(d, r_max + 1)
     v0_prev = Fraction(0)
     for table in tables:
-        if table.total() != 1:
-            return CheckResult("mu-v-consistency", False,
-                               f"d={d} r={table.r}: coefficients sum to {table.total()}")
-        if any(c < 0 for c in table.v):
-            return CheckResult("mu-v-consistency", False,
-                               f"d={d} r={table.r}: negative coefficient")
+        _require(table.total() == 1, f"d={d} r={table.r}: coefficients sum to {table.total()}")
+        _require(not any(c < 0 for c in table.v), f"d={d} r={table.r}: negative coefficient")
         if table.r >= 0:
             expected = (d - 1 + v0_prev**d) / d
-            if table.v[0] != expected:
-                return CheckResult("mu-v-consistency", False,
-                                   f"d={d} r={table.r}: v[0]={table.v[0]} != {expected}")
-        if mus[table.r + 1] != 1 - table.v[0]:
-            return CheckResult("mu-v-consistency", False,
-                               f"d={d} r={table.r}: mu mismatch")
+            _require(table.v[0] == expected,
+                     f"d={d} r={table.r}: v[0]={table.v[0]} != {expected}")
+        _require(mus[table.r + 1] == 1 - table.v[0], f"d={d} r={table.r}: mu mismatch")
         v0_prev = table.v[0]
-    return CheckResult("mu-v-consistency", True, f"d={d} up to r={r_max}")
+    return f"d={d} up to r={r_max}"
+
+
+def _check_mu_v_all() -> str:
+    for d, r_max in ((2, 6), (3, 4)):
+        check_mu_v_consistency(d, r_max)
+    return "d=2 up to r=6, d=3 up to r=4"
 
 
 def _tuple_count_oracle(arr: np.ndarray, k: int) -> int:
@@ -291,51 +292,39 @@ def _moment_matrix(desk: bool) -> list[tuple[int, int, list[tuple[int, int]]]]:
     return out
 
 
-def check_moment_identities(desk: bool = True) -> CheckResult:
+def check_moment_identities(desk: bool = True) -> str:
     """Mass conservation, the image-set preimage profile against the
     full-domain histogram, moment/tuple-count agreement, the exact depth-1
     image formula, and the factorial-polynomial zero-count identity."""
-    name = "moment-identities"
     for p, d, pairs in _moment_matrix(desk):
         for A, C in pairs:
             f = poly_map(p, d, A, C)
             for N in (0, 1, 2, 3):
+                at = f"p={p} d={d} A={A} C={C} N={N}"
                 dist = dynamics.preimage_distribution(f, N)
-                if int(dist.counts.sum()) != p:
-                    return CheckResult(name, False, f"mass leak p={p} d={d} A={A} C={C} N={N}")
-                if int(dist.counts.max()) > d**N:
-                    return CheckResult(name, False, f"preimage count above d**N at p={p} d={d}")
+                _require(int(dist.counts.sum()) == p, f"mass leak {at}")
+                _require(int(dist.counts.max()) <= d**N,
+                         f"preimage count above d**N at p={p} d={d}")
                 # the moments read the image-set profile; dist is the full domain
-                if not np.array_equal(dynamics._profile(f, N), np.bincount(dist.counts)):
-                    return CheckResult(
-                        name, False,
-                        f"profile != full-domain histogram p={p} d={d} A={A} C={C} N={N}")
-                if dynamics.moment_w(f, N, 1) != p:
-                    return CheckResult(name, False, f"W(N,1) != p at p={p} d={d}")
-                if dynamics.moment_w(f, N, 0) != p:
-                    return CheckResult(name, False, f"W(N,0) != p at p={p} d={d}")
+                _require(np.array_equal(dynamics._profile(f, N), np.bincount(dist.counts)),
+                         f"profile != full-domain histogram {at}")
+                _require(dynamics.moment_w(f, N, 1) == p, f"W(N,1) != p at p={p} d={d}")
+                _require(dynamics.moment_w(f, N, 0) == p, f"W(N,0) != p at p={p} d={d}")
                 arr = dynamics.apply_map_to_domain(f, N)
                 for k in (2, 3):
-                    if dynamics.moment_w(f, N, k) != _tuple_count_oracle(arr, k):
-                        return CheckResult(
-                            name, False,
-                            f"moment/tuple mismatch p={p} d={d} A={A} C={C} N={N} k={k}")
+                    _require(dynamics.moment_w(f, N, k) == _tuple_count_oracle(arr, k),
+                             f"moment/tuple mismatch {at} k={k}")
                 direct, via_q = dynamics.zero_count_identity(f, N, degree_cap=64)
-                if via_q.denominator != 1 or int(via_q) != direct:
-                    return CheckResult(
-                        name, False,
-                        f"zero-count identity broke p={p} d={d} A={A} C={C} N={N}")
-                if dynamics.image_size(f, N) != p - direct:
-                    return CheckResult(
-                        name, False,
-                        f"image != p - unhit count at p={p} d={d} A={A} C={C} N={N}")
-            if dynamics.image_size(f, 1) != (p - 1) // d + 1:
-                return CheckResult(name, False, f"depth-1 image formula p={p} d={d}")
-    return CheckResult(name, True, "matrix complete")
+                _require(via_q.denominator == 1 and int(via_q) == direct,
+                         f"zero-count identity broke {at}")
+                _require(dynamics.image_size(f, N) == p - direct,
+                         f"image != p - unhit count at {at}")
+            _require(dynamics.image_size(f, 1) == (p - 1) // d + 1,
+                     f"depth-1 image formula p={p} d={d}")
+    return "matrix complete"
 
 
-def check_enumeration_matches_u(desk: bool = True) -> CheckResult:
-    name = "enumeration-u-match"
+def check_enumeration_matches_u(desk: bool = True) -> str:
     r_values = (-1, 0, 1, 2) if desk else (-1, 0, 1)
     k_values = (1, 2, 3, 4) if desk else (1, 2, 3)
     for d in (2, 3):
@@ -343,17 +332,14 @@ def check_enumeration_matches_u(desk: bool = True) -> CheckResult:
             for k in k_values:
                 enumerated = len(graphs.enumerate_complete_proper(r, k, d))
                 expected = recur.u_value(d, r, k)
-                if enumerated != expected:
-                    return CheckResult(
-                        name, False,
-                        f"enumeration {enumerated} != U={expected} at (d={d}, r={r}, k={k})")
-    return CheckResult(name, True, f"r in {r_values}, k in {k_values}, d in (2, 3)")
+                _require(enumerated == expected,
+                         f"enumeration {enumerated} != U={expected} at (d={d}, r={r}, k={k})")
+    return f"r in {r_values}, k in {k_values}, d in (2, 3)"
 
 
-def check_tree_generation(desk: bool = True) -> CheckResult:
+def check_tree_generation(desk: bool = True) -> str:
     """Maximal extensions of the trees cover every complete proper graph,
     and extension never depends on the scan order."""
-    name = "tree-generation"
     for d in (2, 3):
         for r in (-1, 0, 1):
             for k in (1, 2, 3):
@@ -362,17 +348,12 @@ def check_tree_generation(desk: bool = True) -> CheckResult:
                 for tree in graphs.enumerate_trees(r, k, d):
                     lex = graphs.maximal_extension(tree, order="lex")
                     rev = graphs.maximal_extension(tree, order="reverse")
-                    if lex != rev:
-                        return CheckResult(
-                            name, False,
-                            f"order-dependent extension of {tree.canonical()}")
+                    _require(lex == rev, f"order-dependent extension of {tree.canonical()}")
                     if lex.is_complete():
                         covered.add(lex)
                 if not complete <= covered:
                     missing = next(iter(complete - covered))
-                    return CheckResult(
-                        name, False,
-                        f"graph not generated by any tree: {missing.canonical()}")
+                    raise CheckFailed(f"graph not generated by any tree: {missing.canonical()}")
                 if desk:
                     for g in complete:
                         edge_items = sorted(g.edges.items())
@@ -382,206 +363,170 @@ def check_tree_generation(desk: bool = True) -> CheckResult:
                                 edges=dict(edge_items[:drop] + edge_items[drop + 1:]))
                             lex = graphs.maximal_extension(sub, order="lex")
                             rev = graphs.maximal_extension(sub, order="reverse")
-                            if lex != rev:
-                                return CheckResult(
-                                    name, False,
-                                    f"subgraph extension order-dependent in {g.canonical()}")
-    return CheckResult(name, True, "trees cover all complete proper graphs")
+                            _require(lex == rev,
+                                     f"subgraph extension order-dependent in {g.canonical()}")
+    return "trees cover all complete proper graphs"
 
 
-def check_partition_recursion(desk: bool = True) -> CheckResult:
-    name = "partition-recursion"
+def check_partition_recursion(desk: bool = True) -> str:
     k_max = 5 if desk else 3
     for d in (2, 3):
         for r in (0, 1, 2):
             for k in range(1, k_max + 1):
-                if not recur.partition_recursion_check(d, r, k):
-                    return CheckResult(name, False, f"failed at (d={d}, r={r}, k={k})")
-    return CheckResult(name, True, f"d in (2,3), r <= 2, k <= {k_max}")
+                _require(recur.partition_recursion_check(d, r, k),
+                         f"failed at (d={d}, r={r}, k={k})")
+    return f"d in (2,3), r <= 2, k <= {k_max}"
 
 
-def check_recursion_values() -> CheckResult:
-    name = "mu-recursion"
+def check_recursion_values() -> str:
     expect2 = (Fraction(1), Fraction(1, 2), Fraction(3, 8), Fraction(39, 128))
     expect3 = (Fraction(1), Fraction(1, 3), Fraction(19, 81))
-    if recur.mu_sequence(2, 3).values != expect2:
-        return CheckResult(name, False, "d=2 sequence mismatch")
-    if recur.mu_sequence(3, 2).values != expect3:
-        return CheckResult(name, False, "d=3 sequence mismatch")
+    _require(recur.mu_sequence(2, 3).values == expect2, "d=2 sequence mismatch")
+    _require(recur.mu_sequence(3, 2).values == expect3, "d=3 sequence mismatch")
     for d in (2, 3, 4):
         mus = recur.mu_sequence(d, 10)
         for r in range(1, 11):
-            if d * mus[r] != 1 - (1 - mus[r - 1]) ** d:
-                return CheckResult(name, False, f"recurrence broken at d={d}, r={r}")
-            if not 0 < mus[r] < mus[r - 1]:
-                return CheckResult(name, False, f"monotonicity broken at d={d}, r={r}")
-    return CheckResult(name, True, "pinned values and recurrence hold")
+            _require(d * mus[r] == 1 - (1 - mus[r - 1]) ** d,
+                     f"recurrence broken at d={d}, r={r}")
+            _require(0 < mus[r] < mus[r - 1], f"monotonicity broken at d={d}, r={r}")
+    return "pinned values and recurrence hold"
 
 
-def check_q_bounds() -> CheckResult:
-    name = "q-bound"
+def check_q_bounds() -> str:
     for d, R in ((2, 12), (3, 8), (4, 6)):
-        if not recur.q_bound_check(d, R):
-            return CheckResult(name, False, f"linear lower bound fails for d={d}")
-        if not recur.q_increment_check(d, R):
-            return CheckResult(name, False, f"increment bound fails for d={d}")
-    return CheckResult(name, True, "reciprocal density bounds hold")
+        _require(recur.q_bound_check(d, R), f"linear lower bound fails for d={d}")
+        _require(recur.q_increment_check(d, R), f"increment bound fails for d={d}")
+    return "reciprocal density bounds hold"
 
 
-def check_u_bounds() -> CheckResult:
-    name = "u-bound"
+def check_u_bounds() -> str:
     for d in (2, 3):
         for r in (-1, 0, 1, 2):
             for k in (1, 2, 3, 4):
-                if not recur.u_bound_check(d, r, k):
-                    return CheckResult(name, False, f"bound fails at (d={d}, r={r}, k={k})")
-    return CheckResult(name, True, "binomial bound holds on the grid")
+                _require(recur.u_bound_check(d, r, k), f"bound fails at (d={d}, r={r}, k={k})")
+    return "binomial bound holds on the grid"
 
 
-def check_decomposition_geometry() -> CheckResult:
+def check_decomposition_geometry() -> str:
     """Union identity, moment match, Weil and intersection bounds, and the
     infinity-term discrepancy data on the fixed desk instances."""
-    name = "decomposition-geometric"
     instances = [(5, 2), (13, 2)]
     for p, k in instances + [(5, 3)]:
         f = poly_map(p, 2, 1, 1)
         N = 1
         report = curves.decomposition_check(f, N, k)
-        if not report.union_equals_cr:
-            return CheckResult(name, False, f"union != C_N at p={p}, k={k}")
-        if not report.affine_equals_w:
-            return CheckResult(name, False, f"affine != W at p={p}, k={k}")
+        _require(report.union_equals_cr, f"union != C_N at p={p}, k={k}")
+        _require(report.affine_equals_w, f"affine != W at p={p}, k={k}")
         expected_inf = math.gcd(p - 1, 2**N) ** (k - 1)
-        if report.direct_infinity_count != expected_inf:
-            return CheckResult(
-                name, False,
-                f"direct infinity {report.direct_infinity_count} != gcd^(k-1)={expected_inf}")
+        _require(report.direct_infinity_count == expected_inf,
+                 f"direct infinity {report.direct_infinity_count} != gcd^(k-1)={expected_inf}")
         graph_list = graphs.enumerate_complete_proper(N - 1, k, 2)
         bound = 2 ** (2 * k * N)
         for g in graph_list:
             weil = curves.weil_check(f, g, k, N)
-            if not weil.ok:
-                return CheckResult(name, False, f"Weil deviation {weil.deviation} at p={p}")
+            _require(weil.ok, f"Weil deviation {weil.deviation} at p={p}")
         for i, g1 in enumerate(graph_list):
             for g2 in graph_list[i + 1:]:
                 inter = curves.intersection_check(f, g1, g2, k, N)
-                if not inter.ok or not inter.sets_differ:
-                    return CheckResult(
-                        name, False,
-                        f"intersection bound {inter.common} > {bound} at p={p}")
-    return CheckResult(name, True, "union, moments, Weil and Bezout bounds hold")
+                _require(inter.ok and inter.sets_differ,
+                         f"intersection bound {inter.common} > {bound} at p={p}")
+    return "union, moments, Weil and Bezout bounds hold"
 
 
-def check_asymptotic_trend() -> CheckResult:
-    name = "asymptotic-trend"
+def check_asymptotic_trend() -> str:
     bounds = recur.asymptotic_ratio_bounds(2, 1000)
     lo_band, hi_band = Fraction(9, 10), Fraction(11, 10)
     for r in range(200, 1001):
         lo, hi = bounds[r]
-        if not (lo_band <= lo and hi <= hi_band):
-            return CheckResult(name, False, f"ratio escapes [0.9, 1.1] at r={r}")
+        _require(lo_band <= lo and hi <= hi_band, f"ratio escapes [0.9, 1.1] at r={r}")
     for r in range(10, 1001):
         lo, hi = bounds[r]
-        if not (Fraction(1, 2) <= lo and hi <= Fraction(3, 2)):
-            return CheckResult(name, False, f"ratio escapes [0.5, 1.5] at r={r}")
-    return CheckResult(name, True, "certified ratios stay in band")
+        _require(Fraction(1, 2) <= lo and hi <= Fraction(3, 2),
+                 f"ratio escapes [0.5, 1.5] at r={r}")
+    return "certified ratios stay in band"
 
 
-def check_theorem_statistics(desk: bool = True) -> CheckResult:
+def check_theorem_statistics(desk: bool = True) -> str:
     """Distributional error of the depth-2 image size over a seeded sweep."""
-    name = "theorem-statistics"
     p_max = 5000 if desk else 2000
     per = 20 if desk else 5
     cfg = SweepConfig(d=2, N=2, p_min=1000, p_max=p_max, per_prime=per,
                       policy="random", seed=20260808, require_precondition=True)
     _, summary = sweep_theorem(cfg)
-    if summary["count"] == 0:
-        return CheckResult(name, False, "empty sweep")
-    if summary["mean_abs_norm_err"] > 3.0:
-        return CheckResult(name, False, f"mean error {summary['mean_abs_norm_err']:.3f} > 3.0")
-    if summary["max_abs_norm_err"] > 12.0:
-        return CheckResult(name, False, f"max error {summary['max_abs_norm_err']:.3f} > 12.0")
+    mean, worst = summary["mean_abs_norm_err"], summary["max_abs_norm_err"]
+    _require(summary["count"] != 0, "empty sweep")
+    _require(mean <= 3.0, f"mean error {mean:.3f} > 3.0")
+    _require(worst <= 12.0, f"max error {worst:.3f} > 12.0")
     cfg4 = SweepConfig(d=4, N=1, p_min=1000, p_max=p_max, per_prime=per,
                        policy="random", seed=20260808, require_precondition=True)
     records, _ = sweep_theorem(cfg4)
     for rec in records:
-        if rec["image_size"] != (rec["p"] - 1) // 4 + 1:
-            return CheckResult(name, False, f"closed-form image broke at p={rec['p']}")
-    return CheckResult(
-        name, True,
-        f"mean={summary['mean_abs_norm_err']:.3f}, max={summary['max_abs_norm_err']:.3f}")
+        _require(rec["image_size"] == (rec["p"] - 1) // 4 + 1,
+                 f"closed-form image broke at p={rec['p']}")
+    return f"mean={mean:.3f}, max={worst:.3f}"
 
 
-def check_corollary_sweeps(desk: bool = True) -> CheckResult:
+def check_corollary_sweeps(desk: bool = True) -> str:
     """Determinism, pigeonhole sanity, and schema of both sweeps."""
-    name = "corollary-sweeps"
     p_max = 10000 if desk else 3000
     cfg = SweepConfig(d=2, N=1, p_min=1000, p_max=p_max, per_prime=2,
                       policy="random", seed=7)
     col1, _ = collision_stats(cfg)
     col2, _ = collision_stats(cfg)
-    if render_records(col1, COLLISION_FIELDS, "csv") != render_records(col2, COLLISION_FIELDS, "csv"):
-        return CheckResult(name, False, "collision sweep not deterministic")
+    _require(render_records(col1, COLLISION_FIELDS, "csv")
+             == render_records(col2, COLLISION_FIELDS, "csv"),
+             "collision sweep not deterministic")
     gr1, _ = graph_sweep(cfg)
     gr2, _ = graph_sweep(cfg)
-    if render_records(gr1, GRAPH_FIELDS, "json") != render_records(gr2, GRAPH_FIELDS, "json"):
-        return CheckResult(name, False, "graph sweep not deterministic")
+    _require(render_records(gr1, GRAPH_FIELDS, "json")
+             == render_records(gr2, GRAPH_FIELDS, "json"),
+             "graph sweep not deterministic")
     for rec in col1:
-        if not (1 <= rec["collision_index"] <= rec["p"]):
-            return CheckResult(name, False, f"collision index out of range at p={rec['p']}")
-        if not math.isfinite(rec["ratio"]):
-            return CheckResult(name, False, "non-finite ratio")
-        if set(rec) != set(COLLISION_FIELDS):
-            return CheckResult(name, False, "collision schema mismatch")
+        _require(1 <= rec["collision_index"] <= rec["p"],
+                 f"collision index out of range at p={rec['p']}")
+        _require(math.isfinite(rec["ratio"]), "non-finite ratio")
+        _require(set(rec) == set(COLLISION_FIELDS), "collision schema mismatch")
     for rec in gr1:
-        if rec["sum_cycle_lengths"] > rec["p"]:
-            return CheckResult(name, False, f"cycle mass exceeds p at p={rec['p']}")
-        if set(rec) != set(GRAPH_FIELDS):
-            return CheckResult(name, False, "graph schema mismatch")
-        if not math.isfinite(rec["cycle_bound"]) or not math.isfinite(rec["v2_limit"]):
-            return CheckResult(name, False, "non-finite bound")
-    return CheckResult(name, True, f"{len(col1)} collision and {len(gr1)} graph records")
+        _require(rec["sum_cycle_lengths"] <= rec["p"], f"cycle mass exceeds p at p={rec['p']}")
+        _require(set(rec) == set(GRAPH_FIELDS), "graph schema mismatch")
+        _require(math.isfinite(rec["cycle_bound"]) and math.isfinite(rec["v2_limit"]),
+                 "non-finite bound")
+    return f"{len(col1)} collision and {len(gr1)} graph records"
 
 
 def verify_all(desk: bool = True) -> dict:
     """Run every cross-module check; returns a machine-readable manifest.
 
-    A BudgetError inside any check becomes a failure named "budget" instead
-    of a crash, so misconfigured budgets are reported like any other defect.
+    A check returns its pass detail or raises CheckFailed at its first
+    failing instance.  A BudgetError inside any check becomes a failure named
+    "budget" instead of a crash, so misconfigured budgets are reported like
+    any other defect.
     """
     steps = [
-        lambda: check_recursion_values(),
-        lambda: _mu_v_all(),
-        lambda: check_q_bounds(),
-        lambda: check_u_bounds(),
-        lambda: check_partition_recursion(desk),
-        lambda: check_enumeration_matches_u(desk),
-        lambda: check_tree_generation(desk),
-        lambda: check_moment_identities(desk),
-        lambda: check_decomposition_geometry(),
-        lambda: check_asymptotic_trend(),
-        lambda: check_theorem_statistics(desk),
-        lambda: check_corollary_sweeps(desk),
+        ("mu-recursion", check_recursion_values),
+        ("mu-v-consistency", _check_mu_v_all),
+        ("q-bound", check_q_bounds),
+        ("u-bound", check_u_bounds),
+        ("partition-recursion", lambda: check_partition_recursion(desk)),
+        ("enumeration-u-match", lambda: check_enumeration_matches_u(desk)),
+        ("tree-generation", lambda: check_tree_generation(desk)),
+        ("moment-identities", lambda: check_moment_identities(desk)),
+        ("decomposition-geometric", check_decomposition_geometry),
+        ("asymptotic-trend", check_asymptotic_trend),
+        ("theorem-statistics", lambda: check_theorem_statistics(desk)),
+        ("corollary-sweeps", lambda: check_corollary_sweeps(desk)),
     ]
-    results: list[CheckResult] = []
-    for step in steps:
+    checks = []
+    for name, step in steps:
         try:
-            results.append(step())
+            checks.append({"name": name, "ok": True, "detail": step()})
+        except CheckFailed as exc:
+            checks.append({"name": name, "ok": False, "detail": str(exc)})
         except BudgetError as exc:
-            results.append(CheckResult("budget", False, str(exc)))
+            checks.append({"name": "budget", "ok": False, "detail": str(exc)})
     return {
         "version": __version__,
         "desk": desk,
-        "ok": all(res.ok for res in results),
-        "checks": [
-            {"name": res.name, "ok": res.ok, "detail": res.detail} for res in results
-        ],
+        "ok": all(check["ok"] for check in checks),
+        "checks": checks,
     }
-
-
-def _mu_v_all() -> CheckResult:
-    for d, r_max in ((2, 6), (3, 4)):
-        result = check_mu_v_consistency(d, r_max)
-        if not result.ok:
-            return result
-    return CheckResult("mu-v-consistency", True, "d=2 up to r=6, d=3 up to r=4")

@@ -121,12 +121,6 @@ def mu_interval_sequence(d: int, R: int, bits: int = 128) -> list[tuple[int, int
     return out
 
 
-def asymptotic_table(d: int, R: int) -> list[Fraction]:
-    """Exact ratios mu_r * (d-1) * r / 2 for r = 0..R (small R only)."""
-    mus = mu_sequence(d, R)
-    return [mus[r] * (d - 1) * r / 2 for r in range(R + 1)]
-
-
 def asymptotic_ratio_bounds(
     d: int, R: int, bits: int = 128
 ) -> list[tuple[Fraction, Fraction]]:
@@ -212,33 +206,6 @@ def u_bound_check(d: int, r: int, k: int) -> bool:
     """U(r,k) <= C(k(k-1)/2, k-1) * (r+2)**(k-1) * d**(k-1), exactly."""
     bound = math.comb(k * (k - 1) // 2, k - 1) * (r + 2) ** (k - 1) * d ** (k - 1)
     return u_value(d, r, k) <= bound
-
-
-def partitions_into_blocks(k: int, t: int) -> list[Partition]:
-    """All set partitions of {1..k} into exactly t blocks."""
-    out: list[Partition] = []
-
-    def extend(elem: int, blocks: list[list[int]]):
-        if elem > k:
-            if len(blocks) == t:
-                out.append(
-                    Partition(tuple(sorted(tuple(b) for b in blocks)))
-                )
-            return
-        # prune: remaining elements cannot fill the missing blocks
-        if len(blocks) + (k - elem + 1) < t:
-            return
-        for b in blocks:
-            b.append(elem)
-            extend(elem + 1, blocks)
-            b.pop()
-        if len(blocks) < t:
-            blocks.append([elem])
-            extend(elem + 1, blocks)
-            blocks.pop()
-
-    extend(1, [])
-    return out
 
 
 def block_size_classes(k: int, t: int) -> list[tuple[tuple[int, ...], int]]:

@@ -543,6 +543,17 @@ def test_graph_stats_match_path_stack_oracle(table):
     assert dynamics._stats_from_table(table) == graph_stats_oracle(table)
 
 
+@settings(max_examples=150, deadline=None)
+@given(f=maps_to_300())
+@example(f=poly_map(293, 2, 5, 17))  # d = 2: S_1 labelled by x <= p//2
+@example(f=poly_map(197, 2, 3, 0))  # C = 0: 0 is a fixed point
+@example(f=poly_map(211, 5, 4, 210))  # odd d: S_1 labelled through rank
+@example(f=poly_map(257, 256, 3, 5))  # d = p - 1: S_1 = {C, A + C}
+def test_functional_graph_stats_match_path_stack_oracle(f):
+    table = np.array([dynamics.eval_map(f, x) for x in range(f.p)], dtype=np.int64)
+    assert dynamics.functional_graph_stats(f) == graph_stats_oracle(table)
+
+
 def _cycle_with_tail(cycle, tail):
     """A path 0 -> 1 -> ... -> tail - 1 into the cycle tail -> tail + 1 ->
     ... -> tail + cycle - 1 -> tail: vertex 0 is at distance `tail`, and the

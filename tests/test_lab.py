@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import polyiter
-from polyiter import cli, curves, lab, recur
+from polyiter import cli, curves, dynamics, lab, recur
 from polyiter.errors import BudgetError
 from polyiter.report import render_records
 
@@ -121,8 +121,7 @@ def test_render_json_shape():
 
 
 def test_mu_v_consistency_fault_injection():
-    good = lab.check_mu_v_consistency(2, 4)
-    assert good.ok
+    assert lab.check_mu_v_consistency(2, 4) == "d=2 up to r=4"
     tables = [recur.e_coeffs(2, r) for r in range(-1, 5)]
     corrupt = recur.CoeffTable(
         d=2, r=3, v=tuple(
@@ -131,18 +130,22 @@ def test_mu_v_consistency_fault_injection():
         ),
     )
     injected = tables[:4] + [corrupt, tables[5]]
-    result = lab.check_mu_v_consistency(2, 4, tables=injected)
-    assert result.name == "mu-v-consistency" and not result.ok
+    with pytest.raises(lab.CheckFailed, match="d=2 r=3"):
+        lab.check_mu_v_consistency(2, 4, tables=injected)
+
+
+CHECK_NAMES = [
+    "mu-recursion", "mu-v-consistency", "q-bound", "u-bound", "partition-recursion",
+    "enumeration-u-match", "tree-generation", "moment-identities",
+    "decomposition-geometric", "asymptotic-trend", "theorem-statistics", "corollary-sweeps",
+]
 
 
 def test_verify_all_quick_is_green():
     manifest = lab.verify_all(desk=False)
     assert manifest["ok"], [c for c in manifest["checks"] if not c["ok"]]
     assert manifest["version"] == polyiter.__version__
-    names = {c["name"] for c in manifest["checks"]}
-    assert {"mu-recursion", "mu-v-consistency", "enumeration-u-match",
-            "tree-generation", "moment-identities", "decomposition-geometric",
-            "asymptotic-trend", "theorem-statistics", "corollary-sweeps"} <= names
+    assert [c["name"] for c in manifest["checks"]] == CHECK_NAMES
 
 
 def test_verify_all_reports_budget_failure_by_name(monkeypatch):
@@ -263,6 +266,28 @@ def test_cli_exit_codes():
     assert cli.main(["enum-graphs", "--d", "1", "--r", "0", "--k", "2"]) == 2
     assert cli.main(["enum-graphs", "--d", "2", "--r", "-3", "--k", "2"]) == 2
     assert cli.main(["enum-graphs", "--d", "2", "--r", "-3", "--k", "2", "--trees"]) == 2
+
+
+def test_cli_verify_quick_writes_manifest(tmp_path, capsys):
+    out = tmp_path / "manifest.json"
+    assert cli.main(["verify", "--quick", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"PASS {name}: {c['detail']}" for name, c in zip(CHECK_NAMES, checks, strict=True)]
+    assert out.read_text() == json.dumps(lab.verify_all(desk=False), indent=2) + "\n"
+
+
+def test_cli_verify_reports_first_failing_instance(tmp_path, monkeypatch, capsys):
+    image_size = dynamics.image_size
+    monkeypatch.setattr(dynamics, "image_size", lambda f, N: image_size(f, N) + 1)
+    out = tmp_path / "manifest.json"
+    assert cli.main(["verify", "--quick", "--out", str(out)]) == 1
+    manifest = json.loads(out.read_text())
+    assert not manifest["ok"]
+    assert [c["name"] for c in manifest["checks"]] == CHECK_NAMES
+    moments = manifest["checks"][CHECK_NAMES.index("moment-identities")]
+    assert not moments["ok"] and "p=5 d=2 A=1 C=0 N=0" in moments["detail"]
+    assert f"FAIL moment-identities: {moments['detail']}" in capsys.readouterr().err
 
 
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -58,15 +59,25 @@ def test_q_increment():
     assert recur.q_increment_check(5, 6)
 
 
+def asymptotic_table(d: int, R: int) -> list[Fraction]:
+    """Exact ratios mu_r * (d-1) * r / 2 for r = 0..R (small R only)."""
+    mus = recur.mu_sequence(d, R)
+    return [mus[r] * (d - 1) * r / 2 for r in range(R + 1)]
+
+
 def test_asymptotic_table_exact_values():
-    table = recur.asymptotic_table(2, 3)
+    table = asymptotic_table(2, 3)
     assert table[1] == Fraction(1, 4)
     assert table[3] == Fraction(117, 256)
+    bounds = recur.asymptotic_ratio_bounds(2, 3)
+    for r, exact in ((1, Fraction(1, 4)), (3, Fraction(117, 256))):
+        lo, hi = bounds[r]
+        assert lo <= exact <= hi
 
 
 def test_asymptotic_bounds_certified():
     bounds = recur.asymptotic_ratio_bounds(2, 300)
-    exact = recur.asymptotic_table(2, 20)
+    exact = asymptotic_table(2, 20)
     for r in range(21):
         lo, hi = bounds[r]
         assert lo <= exact[r] <= hi
@@ -162,12 +173,39 @@ def test_u_bound_examples():
                 assert recur.u_bound_check(d, r, k)
 
 
+def partitions_into_blocks(k: int, t: int) -> list[recur.Partition]:
+    """All set partitions of {1..k} into exactly t blocks."""
+    out: list[recur.Partition] = []
+
+    def extend(elem: int, blocks: list[list[int]]):
+        if elem > k:
+            if len(blocks) == t:
+                out.append(
+                    recur.Partition(tuple(sorted(tuple(b) for b in blocks)))
+                )
+            return
+        # prune: remaining elements cannot fill the missing blocks
+        if len(blocks) + (k - elem + 1) < t:
+            return
+        for b in blocks:
+            b.append(elem)
+            extend(elem + 1, blocks)
+            b.pop()
+        if len(blocks) < t:
+            blocks.append([elem])
+            extend(elem + 1, blocks)
+            blocks.pop()
+
+    extend(1, [])
+    return out
+
+
 def test_partitions_into_blocks():
-    parts = recur.partitions_into_blocks(3, 2)
+    parts = partitions_into_blocks(3, 2)
     assert len(parts) == 3
     assert all(p.t == 2 for p in parts)
-    assert len(recur.partitions_into_blocks(4, 2)) == 7  # Stirling S(4,2)
-    assert len(recur.partitions_into_blocks(4, 3)) == 6
+    assert len(partitions_into_blocks(4, 2)) == 7  # Stirling S(4,2)
+    assert len(partitions_into_blocks(4, 3)) == 6
 
 
 def test_block_size_classes():
@@ -177,6 +215,12 @@ def test_block_size_classes():
     assert classes4 == {(3, 1): 4, (2, 2): 3}
     # class sizes must add up to the Stirling number
     assert sum(classes4.values()) == 7
+    # every class count against the enumerated set partitions
+    for k in range(1, 7):
+        for t in range(1, k + 1):
+            enumerated = Counter(
+                tuple(sorted(part.sizes, reverse=True)) for part in partitions_into_blocks(k, t))
+            assert dict(recur.block_size_classes(k, t)) == enumerated, (k, t)
 
 
 def test_partition_weight_helper():
