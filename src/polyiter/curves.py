@@ -107,14 +107,6 @@ class DecompositionReport:
     affine_equals_w: bool
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    count: int
-    deviation: float
-    bound: float
-    verdict: str  # CONSISTENT or SUSPICIOUS
-
-
 def _iterate_table(f: FieldParams, level: int, at_infinity: bool) -> np.ndarray:
     """x -> F^level(x, 1) (affine) or F^level(x, 0) (infinity) for all x.
 
@@ -267,20 +259,3 @@ def intersection_check(
         bound=f.d ** (2 * k * N),
         sets_differ=sets_differ,
     )
-
-
-def irreducibility_probe(f: FieldParams, r: int, i: int) -> ProbeReport:
-    """Point count of one twisted-difference plane curve against the genus
-    bound for an irreducible curve of its degree.  Evidence, not proof."""
-    if r < 0:
-        raise ValueError("probe level must be nonnegative")
-    p = f.p
-    _check_budget(p, 2)  # refuse an over-budget p before judging the twist
-    if not 1 <= i <= f.d - 1:
-        raise ValueError(f"twist must be in [1, {f.d - 1}] for level >= 0")
-    count = _variety(f, 2, [(1, 2, r, i)]).total
-    degree = f.d**r
-    bound = (degree - 1) * (degree - 2) * math.sqrt(p)
-    deviation = abs(count - (p + 1))
-    verdict = "CONSISTENT" if deviation <= bound else "SUSPICIOUS"
-    return ProbeReport(count=count, deviation=deviation, bound=bound, verdict=verdict)

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import BudgetError
 from .field import FieldParams, field_params
 
-# Default cap on d**N for the factorial polynomial expansion.
-DEFAULT_Q_DEGREE_CAP = 16
+# Cap on d**N for the factorial polynomial expansion.
+Q_DEGREE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -171,18 +171,18 @@ def _image_mask(table: np.ndarray, even: bool) -> np.ndarray:
     return hit
 
 
-def _image_graph(table: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, Callable]:
-    """(hit, g, label): the mask of S_1, the graph g the table induces on S_1
-    with labels 0..m1-1, and label(y), the label of table[y].  At d = 2 label
-    x <= p//2 stands for f(x), as f(y) = f(p - y): g = min(f, p - f) on that
-    half and label(y) = min(y, p - y).  Any other d, including an arbitrary
-    successor table at d = 1, labels S_1 in ascending order through a rank
-    array."""
+def _image_graph(table: np.ndarray, d: int) -> tuple[np.ndarray | None, np.ndarray, Callable]:
+    """(hit, g, label): the mask of S_1 where the labelling needs one, the
+    graph g the table induces on S_1 with labels 0..m1-1, and label(y), the
+    label of table[y].  At d = 2 label x <= p//2 stands for f(x), as f(y) =
+    f(p - y): g = min(f, p - f) on that half, label(y) = min(y, p - y) and
+    hit is None.  Any other d, including an arbitrary successor table at
+    d = 1, labels S_1 in ascending order through a rank array over hit."""
     p = len(table)
-    hit = _image_mask(table, d % 2 == 0)
     if d == 2:
         low = table[: p // 2 + 1]
-        return hit, np.minimum(low, p - low), lambda y: np.minimum(y, p - y)
+        return None, np.minimum(low, p - low), lambda y: np.minimum(y, p - y)
+    hit = _image_mask(table, d % 2 == 0)
     image = np.flatnonzero(hit)
     rank = np.empty(p, dtype=np.int64)
     rank[image] = np.arange(len(image))
@@ -292,15 +292,15 @@ def check_precondition(f: FieldParams, N: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def q_coeffs(d: int, N: int, degree_cap: int = DEFAULT_Q_DEGREE_CAP) -> tuple[Fraction, ...]:
+def q_coeffs(d: int, N: int) -> tuple[Fraction, ...]:
     """Exact coefficients of (1/D!) * prod_{j=1..D} (j - T) with D = d**N.
 
     The polynomial is 1 at T=0 and 0 at T=1..D, which turns moment sums
     into exact zero-preimage counts.
     """
     D = d**N
-    if D > degree_cap:
-        raise BudgetError(f"factorial polynomial degree {D} exceeds cap {degree_cap}")
+    if D > Q_DEGREE_CAP:
+        raise BudgetError(f"factorial polynomial degree {D} exceeds cap {Q_DEGREE_CAP}")
     # integer expansion of prod (j - T), then divide by D!
     coeffs = [1]
     for j in range(1, D + 1):
@@ -313,13 +313,11 @@ def q_coeffs(d: int, N: int, degree_cap: int = DEFAULT_Q_DEGREE_CAP) -> tuple[Fr
     return tuple(Fraction(c, fact) for c in coeffs)
 
 
-def zero_count_identity(
-    f: FieldParams, N: int, degree_cap: int = DEFAULT_Q_DEGREE_CAP
-) -> tuple[int, Fraction]:
+def zero_count_identity(f: FieldParams, N: int) -> tuple[int, Fraction]:
     """(direct, via_q): unhit residues counted directly, and the same count
     recovered as sum_k C_k * W(N, k).  The contract is via_q == direct."""
     profile = _profile(f, N)
-    coeffs = q_coeffs(f.d, N, degree_cap)
+    coeffs = q_coeffs(f.d, N)
     direct = int(profile[0])
     moments = [_power_sum(profile, k) for k in range(len(coeffs))]
     via_q = sum(ck * wk for ck, wk in zip(coeffs, moments))
@@ -373,6 +371,8 @@ def _stats_from_table(table: np.ndarray, d: int = 1) -> GraphStats:
     tail is one step more than the distance of its successor.
     """
     hit, g, label = _image_graph(table, d)
+    if hit is None:
+        hit = _image_mask(table, True)
     dist, num_cycles, cyclic_count = _decompose(g)
     tails = 1 + dist[label(np.flatnonzero(~hit))]
     return GraphStats(

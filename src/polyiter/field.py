@@ -59,15 +59,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def pow_mod(x: int, e: int, p: int) -> int:
-    """x**e mod p with the 0**0 = 1 convention; requires p >= 2, e >= 0."""
-    if p < 2:
-        raise ValueError("modulus must be at least 2")
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(x % p, e, p)
-
-
 def validate_params(p: int, d: int, A: int) -> ValidationResult:
     """Gate for (p, d, A): p prime, d >= 2, d | p-1, A nonzero mod p."""
     if p >= MAX_MODULUS:

@@ -11,13 +11,12 @@ antisymmetry rule unviolable by construction.
 from __future__ import annotations
 
 import bisect
-import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
 from .errors import BudgetError
-from .recur import Partition, check_degree_level, u_value
+from .recur import check_degree_level
 
 # Hard cap on raw label assignments per enumeration call.
 ENUMERATION_CAP = 10**7
@@ -32,9 +31,6 @@ class IterGraph:
     r: int
     d: int
     edges: Labels = field(default_factory=dict)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
 
     def xi(self, a: int, b: int) -> int:
         return _xi(self.edges, a, b)
@@ -63,9 +59,6 @@ class IterGraph:
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.k * (self.k - 1) // 2
-
-    def is_strict(self) -> bool:
-        return any(xi == self.r for xi, _ in self.edges.values())
 
     def canonical(self) -> str:
         parts = [f"{self.k} {self.r} {self.d}"]
@@ -112,10 +105,6 @@ def graph_violation(g: IterGraph) -> str | None:
         if xi >= 0 and not (1 <= eta <= g.d - 1):
             return f"edge ({a},{b}) has level {xi} but twist {eta} outside [1, {g.d - 1}]"
     return None
-
-
-def validate_graph(g: IterGraph) -> bool:
-    return graph_violation(g) is None
 
 
 def _xi(edges: Labels, a: int, b: int) -> int:
@@ -172,45 +161,6 @@ def _triangles_ok(edges: Labels, d: int, triangles: Iterable[Sequence[int]]) -> 
     return True
 
 
-def extract_partition(g: IterGraph) -> Partition:
-    """Block structure of a complete proper strict graph: top-level edges
-    cross blocks, lower-level edges stay inside.  Verified from every seed."""
-    if not g.is_complete():
-        raise ValueError("partition extraction needs a complete graph")
-    if not g.is_strict():
-        raise ValueError("partition extraction needs a strict graph (some edge at top level)")
-    result: Partition | None = None
-    for seed in range(1, g.k + 1):
-        buckets: dict[int, list[int]] = {0: [seed]}
-        for b in range(1, g.k + 1):
-            if b == seed:
-                continue
-            if g.xi(seed, b) < g.r:
-                buckets.setdefault(0, []).append(b)
-            else:
-                buckets.setdefault(g.eta(seed, b), []).append(b)
-        part = Partition(tuple(sorted(tuple(sorted(v)) for v in buckets.values())))
-        if result is None:
-            result = part
-        elif part != result:
-            raise ValueError("partition extraction disagrees between seed vertices")
-    assert result is not None
-    if not (2 <= result.t <= g.d):
-        raise ValueError(f"partition has {result.t} blocks, outside [2, {g.d}]")
-    for block in result.blocks:
-        for a in block:
-            for b in block:
-                if a < b and g.xi(a, b) >= g.r:
-                    raise ValueError("within-block edge at top level")
-    for i, bi in enumerate(result.blocks):
-        for bj in result.blocks[i + 1 :]:
-            for a in bi:
-                for b in bj:
-                    if g.xi(a, b) != g.r:
-                        raise ValueError("cross-block edge below top level")
-    return result
-
-
 def _step_label(edges: Labels, d: int, a: int, b: int, c: int) -> tuple[int, int] | None:
     """Stored label that the path a-b-c gives the new edge {a,c}, or None when
     no label rule applies: -1 then -1 stays -1, two equal levels compose
@@ -231,22 +181,10 @@ def _step_label(edges: Labels, d: int, a: int, b: int, c: int) -> tuple[int, int
     return (bc[0], eta % d if a < c else (d - eta) % d)
 
 
-def generate_step(g: IterGraph, a: int, b: int, c: int) -> IterGraph | None:
-    """Try to add edge {a,c} from the path a-b-c.
-
-    Returns the extended graph when one of the three label rules applies and
-    the result is still proper; otherwise None (the step is skipped).
-    """
-    key = (a, c) if a < c else (c, a)
-    label = None if key in g.edges else _step_label(g.edges, g.d, a, b, c)
-    if label is None:
-        return None
-    new = IterGraph(k=g.k, r=g.r, d=g.d, edges={**g.edges, key: label})
-    return new if is_proper(new) else None
-
-
 def maximal_extension(g: IterGraph, order: str = "lex") -> IterGraph:
-    """Saturate generate_step.  Terminates because each step adds an edge.
+    """Add the edge {a,c} that _step_label gives a path a-b-c, whenever the
+    graph stays proper, until no step applies.  Terminates because each step
+    adds an edge.
 
     A triangle that breaks the rules stays in every extension, so an improper
     g is its own fixpoint.  From a proper graph a step stays proper exactly
@@ -279,22 +217,10 @@ def maximal_extension(g: IterGraph, order: str = "lex") -> IterGraph:
     return g if len(edges) == len(g.edges) else IterGraph(k=g.k, r=g.r, d=d, edges=edges)
 
 
-def is_potentially_complete(g: IterGraph, path: list[int]) -> bool:
-    """Unimodal levels along the path, no two adjacent equalities, and no
-    cancelling twists across an equal-level elbow."""
-    if len(path) < 2:
-        return True
-    if len(set(path)) != len(path):
-        raise ValueError("path repeats a vertex")
-    for a, b in zip(path, path[1:]):
-        if not g.has_edge(a, b):
-            raise ValueError(f"path step {a}-{b} is not an edge")
-    return _chain_ok(g.edges, g.d, path)
-
-
 def _chain_ok(edges: Labels, d: int, path: list[int]) -> bool:
-    """The chain condition of is_potentially_complete on stored labels, for a
-    path whose steps are all edges."""
+    """Potential completeness of a path whose steps are all edges, on stored
+    labels: unimodal levels along the path, no two adjacent equalities, and no
+    cancelling twists across an equal-level elbow."""
     steps = []
     for a, b in zip(path, path[1:]):
         xi, eta = edges[(a, b)] if a < b else edges[(b, a)]
@@ -338,36 +264,6 @@ def tree_path(g: IterGraph, a: int, b: int) -> list[int]:
         path.append(parent[path[-1]])
     path.reverse()
     return path
-
-
-def is_tree(g: IterGraph) -> bool:
-    """Acyclic, spanning, and every vertex pair's chain is potentially complete."""
-    if not validate_graph(g):
-        return False
-    if g.k == 1:
-        return len(g.edges) == 0
-    if len(g.edges) != g.k - 1:
-        return False
-    adj = _adjacency(g)
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    # k-1 edges and connected rules out loops; check the chain condition
-    return len(seen) == g.k and _chains_ok(g)
-
-
-def _chains_ok(g: IterGraph) -> bool:
-    """Every vertex pair's chain in the spanning tree g is potentially complete."""
-    return all(
-        is_potentially_complete(g, tree_path(g, a, b))
-        for a in range(1, g.k + 1)
-        for b in range(a + 1, g.k + 1)
-    )
 
 
 def _label_options(r: int, d: int) -> list[tuple[int, int]]:
@@ -465,15 +361,3 @@ def enumerate_trees(r: int, k: int, d: int) -> list[IterGraph]:
             if all(_chain_ok(edges, d, path) for path in chains):
                 out.append(IterGraph(k=k, r=r, d=d, edges=edges))
     return out
-
-
-def count_partition_graphs(partition: Partition, r: int, d: int) -> int:
-    """Strict complete proper graphs inducing the given block partition:
-    (d-1)!/(d-t)! times the product of block-level counts one level down."""
-    t = partition.t
-    if t < 2 or t > d:
-        raise ValueError(f"partition has {t} blocks, need 2 <= t <= {d}")
-    ways = math.factorial(d - 1) // math.factorial(d - t)
-    for block in partition.blocks:
-        ways *= u_value(d, r - 1, len(block))
-    return ways

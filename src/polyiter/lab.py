@@ -314,7 +314,7 @@ def check_moment_identities(desk: bool = True) -> str:
                 for k in (2, 3):
                     _require(dynamics.moment_w(f, N, k) == _tuple_count_oracle(arr, k),
                              f"moment/tuple mismatch {at} k={k}")
-                direct, via_q = dynamics.zero_count_identity(f, N, degree_cap=64)
+                direct, via_q = dynamics.zero_count_identity(f, N)
                 _require(via_q.denominator == 1 and int(via_q) == direct,
                          f"zero-count identity broke {at}")
                 _require(dynamics.image_size(f, N) == p - direct,

@@ -48,24 +48,6 @@ class CoeffTable:
         return sum(self.v, Fraction(0))
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A set partition of {1..k}, kept as sorted tuples of sorted blocks."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def t(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
-    def size_multiset_weight(self) -> int:
-        return _multiset_weight(self.sizes)
-
-
 def _multiset_weight(sizes: tuple[int, ...]) -> int:
     """S = product of s_n! where s_n counts blocks of size n."""
     return math.prod(math.factorial(c) for c in Counter(sizes).values())

@@ -276,6 +276,9 @@ def test_cr_points_match_naive_scan():
 
 
 def test_irreducibility_probe_matches_naive_scan():
+    # the twisted-difference plane curve at level r and twist i, whose point
+    # count probes irreducibility, is the variety of the one-edge graph
+    # {1,2} labeled (r, i)
     for f in (F5, F13, poly_map(13, 4, 5, 2), poly_map(7, 3, 2, 4)):
         for r in (0, 1, 2):
             for i in range(1, f.d):
@@ -283,8 +286,9 @@ def test_irreducibility_probe_matches_naive_scan():
                 affine, infinity = naive_points(
                     f.p, 2, lambda xy, z: phi_eval(f, spec, *xy, z) == 0
                 )
-                probe = curves.irreducibility_probe(f, r, i)
-                assert probe.count == len(affine) + len(infinity), (f.p, f.d, r, i)
+                g = IterGraph(k=2, r=r, d=f.d, edges={(1, 2): (r, i)})
+                count = curves.count_curve_points(f, g).total
+                assert count == len(affine) + len(infinity), (f.p, f.d, r, i)
 
 
 @pytest.mark.parametrize("p, d, N, k, A, C", [
@@ -450,19 +454,9 @@ def test_cli_curves_and_decomp_bytes_pinned(capsys, cmd, p, d, N, k, code, diges
 
 
 def test_irreducibility_probe():
-    line_probe = curves.irreducibility_probe(F5, 0, 1)
-    assert line_probe.count == 6 and line_probe.verdict == "CONSISTENT"
-    conic_probe = curves.irreducibility_probe(F5, 1, 1)
-    assert conic_probe.count == 6 and conic_probe.verdict == "CONSISTENT"
-    # precondition fails at depth 3 for x^2+1 mod 5 but the probe still runs
-    late = curves.irreducibility_probe(F5, 3, 1)
-    assert late.verdict in ("CONSISTENT", "SUSPICIOUS")
-    for twist in (0, 2):
-        with pytest.raises(ValueError, match=r"twist must be in \[1, 1\] for level >= 0"):
-            curves.irreducibility_probe(F5, 1, twist)
-    # an over-budget p is refused before the twist is judged
-    with pytest.raises(BudgetError):
-        curves.irreducibility_probe(poly_map(223, 2, 1, 1), 1, 0)
+    # the level-0 and level-1 twisted differences over F5 have p + 1 points
+    assert curves.count_curve_points(F5, TWISTED_LINE).total == 6
+    assert curves.count_curve_points(F5, CONIC).total == 6
 
 
 def iterate(f, x, times):
@@ -530,7 +524,7 @@ def test_solution_graphs_are_proper_and_enumerated():
         )
         for xs in tuples:
             g = solution_graph(f, xs, N)
-            assert graphs.validate_graph(g)
+            assert graphs.graph_violation(g) is None
             assert g.is_complete()
             assert graphs.is_proper(g)
             assert g.canonical() in enumerated

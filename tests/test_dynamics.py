@@ -259,8 +259,8 @@ def test_q_coeffs():
 
 def test_q_coeffs_cap():
     with pytest.raises(BudgetError):
-        dynamics.q_coeffs(2, 5)  # default cap is 16
-    dynamics.q_coeffs(2, 5, degree_cap=32)
+        dynamics.q_coeffs(2, 7)  # degree 128, above the cap of 64
+    assert len(dynamics.q_coeffs(2, 6)) == 65
 
 
 def test_zero_count_identity():
@@ -270,7 +270,7 @@ def test_zero_count_identity():
     for p, d in ((13, 3), (17, 4)):
         f = poly_map(p, d, 2, 3)
         for n in (1, 2):
-            direct, via_q = dynamics.zero_count_identity(f, n, degree_cap=16)
+            direct, via_q = dynamics.zero_count_identity(f, n)
             assert via_q.denominator == 1
             assert int(via_q) == direct
             assert dynamics.image_size(f, n) == p - direct
@@ -384,11 +384,11 @@ def test_moment_matches_pointwise_oracle(f, N, k):
 @settings(max_examples=40, deadline=None)
 @given(f=small_maps(), N=st.integers(min_value=0, max_value=3))
 def test_zero_count_identity_matches_pointwise_oracle(f, N):
-    coeffs = dynamics.q_coeffs(f.d, N, degree_cap=64)
+    coeffs = dynamics.q_coeffs(f.d, N)
     counts = dynamics.preimage_distribution(f, N).counts
     direct = int(np.count_nonzero(counts == 0))
     via_q = sum(c * moment_oracle(f, N, k) for k, c in enumerate(coeffs))
-    assert dynamics.zero_count_identity(f, N, degree_cap=64) == (direct, via_q)
+    assert dynamics.zero_count_identity(f, N) == (direct, via_q)
 
 
 # depth 1, which builds no table, and N - 1 with few and with many binary

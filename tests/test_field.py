@@ -1,5 +1,3 @@
-from hypothesis import given, settings
-from hypothesis import strategies as st
 import pytest
 
 from polyiter import field
@@ -15,26 +13,6 @@ def test_validate_params_failure_reasons():
     assert field.validate_params(9, 2, 1).reason == field.NOT_PRIME
     assert field.validate_params(5, 1, 1).reason == field.DEGREE_TOO_SMALL
     assert field.validate_params(2**31 + 11, 2, 1).reason == field.MODULUS_TOO_LARGE
-
-
-def test_pow_mod_examples():
-    assert field.pow_mod(3, 4, 5) == 1
-    assert field.pow_mod(0, 0, 7) == 1
-    assert field.pow_mod(123, 0, 7) == 1
-    assert field.pow_mod(2, 10, 1000003) == 1024
-
-
-def test_pow_mod_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        field.pow_mod(2, 3, 1)
-    with pytest.raises(ValueError):
-        field.pow_mod(2, -1, 5)
-
-
-def test_fermat_little_theorem_small_primes():
-    for p in (3, 5, 7, 11, 13):
-        for x in range(1, p):
-            assert field.pow_mod(x, p - 1, p) == 1
 
 
 def test_primitive_root_examples():
@@ -95,16 +73,3 @@ def test_field_params_builds_and_rejects():
     assert pow(params.gamma, 3, 13) == 1
     with pytest.raises(ValueError):
         field.field_params(5, 3, 1, 0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    x=st.integers(min_value=0, max_value=10**6),
-    e=st.integers(min_value=0, max_value=40),
-    p=st.integers(min_value=2, max_value=10**4),
-)
-def test_pow_mod_matches_repeated_multiplication(x, e, p):
-    expected = 1
-    for _ in range(e):
-        expected = expected * x % p
-    assert field.pow_mod(x, e, p) == expected

@@ -1,5 +1,7 @@
 import hashlib
-from itertools import permutations, product
+import math
+from collections import Counter
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from polyiter.graphs import IterGraph, _eta, _xi
 # ---------------------------------------------------------------------------
 # Reference loops that the label-level kernels replaced, kept as oracles: the
 # triangle rule per ordered triple, the restart loop that re-checks the whole
-# graph after every candidate edge, and the chain condition per built graph.
+# graph after every candidate edge, and the chain condition per built graph;
+# and the block partition of a strict graph, which no kernel computes.
 # ---------------------------------------------------------------------------
 
 def _triple_ok(edges, d, a, b, c):
@@ -32,15 +35,16 @@ def _triple_ok(edges, d, a, b, c):
 
 
 def oracle_is_proper(g):
+    pairs = g.edges.keys() | {(b, a) for a, b in g.edges}
     for a, b, c in permutations(range(1, g.k + 1), 3):
-        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
-            if not _triple_ok(g.edges, g.d, a, b, c):
-                return False
+        if {(a, b), (b, c), (a, c)} <= pairs and not _triple_ok(g.edges, g.d, a, b, c):
+            return False
     return True
 
 
 def oracle_generate_step(g, a, b, c):
-    if not (g.has_edge(a, b) and g.has_edge(b, c)) or g.has_edge(a, c):
+    pairs = g.edges.keys() | {(b, a) for a, b in g.edges}
+    if not {(a, b), (b, c)} <= pairs or (a, c) in pairs:
         return None
     xi_ab, xi_bc = g.xi(a, b), g.xi(b, c)
     if xi_ab == xi_bc == -1:
@@ -104,6 +108,48 @@ def oracle_enumerate_trees(r, k, d):
     return out
 
 
+def extract_partition(g):
+    """Block structure of a complete proper strict graph, as a sorted tuple of
+    sorted blocks: top-level edges cross blocks, lower-level edges stay
+    inside.  Verified from every seed."""
+    if not g.is_complete():
+        raise ValueError("partition extraction needs a complete graph")
+    if not any(xi == g.r for xi, _ in g.edges.values()):
+        raise ValueError("partition extraction needs a strict graph (some edge at top level)")
+    result = None
+    for seed in range(1, g.k + 1):
+        buckets = {0: [seed]}
+        for b in range(1, g.k + 1):
+            if b == seed:
+                continue
+            if g.xi(seed, b) < g.r:
+                buckets[0].append(b)
+            else:
+                buckets.setdefault(g.eta(seed, b), []).append(b)
+        part = tuple(sorted(tuple(sorted(v)) for v in buckets.values()))
+        if result is None:
+            result = part
+        elif part != result:
+            raise ValueError("partition extraction disagrees between seed vertices")
+    if not (2 <= len(result) <= g.d):
+        raise ValueError(f"partition has {len(result)} blocks, outside [2, {g.d}]")
+    for i, block in enumerate(result):
+        for a, b in combinations(block, 2):
+            if g.xi(a, b) >= g.r:
+                raise ValueError("within-block edge at top level")
+        for other in result[i + 1:]:
+            for a, b in product(block, other):
+                if g.xi(a, b) != g.r:
+                    raise ValueError("cross-block edge below top level")
+    return result
+
+
+def strict_graphs(r, k, d):
+    """The enumerated complete proper graphs with some edge at level r."""
+    return [g for g in graphs.enumerate_complete_proper(r, k, d)
+            if any(xi == r for xi, _ in g.edges.values())]
+
+
 def edge_graph(k, r, d, items):
     g = IterGraph(k=k, r=r, d=d)
     for (a, b), (xi, eta) in items.items():
@@ -124,13 +170,12 @@ def test_eta_antisymmetry_is_structural():
 
 
 def test_validate_graph():
-    assert graphs.validate_graph(edge_graph(2, 1, 2, {(1, 2): (-1, 0)}))
+    assert graphs.graph_violation(edge_graph(2, 1, 2, {(1, 2): (-1, 0)})) is None
     bad = IterGraph(k=2, r=1, d=2, edges={(1, 2): (0, 0)})
-    assert not graphs.validate_graph(bad)
     assert "twist" in graphs.graph_violation(bad)
     out_of_range = IterGraph(k=2, r=1, d=2, edges={(1, 2): (2, 1)})
-    assert not graphs.validate_graph(out_of_range)
-    assert graphs.validate_graph(edge_graph(2, 1, 3, {(1, 2): (1, 1)}))
+    assert graphs.graph_violation(out_of_range) is not None
+    assert graphs.graph_violation(edge_graph(2, 1, 3, {(1, 2): (1, 1)})) is None
 
 
 def test_is_proper_examples():
@@ -142,44 +187,41 @@ def test_is_proper_examples():
 
 
 def test_extract_partition():
-    part = graphs.extract_partition(PROPER_TRIANGLE)
-    assert part.blocks == ((1, 3), (2,))
+    assert extract_partition(PROPER_TRIANGLE) == ((1, 3), (2,))
     single = edge_graph(2, 1, 2, {(1, 2): (1, 1)})
-    assert graphs.extract_partition(single).blocks == ((1,), (2,))
+    assert extract_partition(single) == ((1,), (2,))
     non_strict = edge_graph(2, 1, 2, {(1, 2): (0, 1)})
     with pytest.raises(ValueError):
-        graphs.extract_partition(non_strict)
+        extract_partition(non_strict)
 
 
 def test_extract_partition_on_every_enumerated_strict_graph():
     for d in (2, 3):
         for r in (0, 1):
             for k in (2, 3, 4):
-                for g in graphs.enumerate_complete_proper(r, k, d):
-                    if not g.is_strict():
-                        continue
-                    part = graphs.extract_partition(g)
-                    assert 2 <= part.t <= d
+                for g in strict_graphs(r, k, d):
+                    assert 2 <= len(extract_partition(g)) <= d
 
 
 def test_generate_step_cases():
+    # on a 3-vertex path the extension is one step: it adds {1,3} or nothing
     base = edge_graph(3, 1, 2, {(1, 2): (-1, 0), (2, 3): (-1, 0)})
-    stepped = graphs.generate_step(base, 1, 2, 3)
-    assert stepped is not None and stepped.xi(1, 3) == -1
+    stepped = graphs.maximal_extension(base)
+    assert stepped.is_complete() and stepped.xi(1, 3) == -1
 
     d3 = edge_graph(3, 1, 3, {(1, 2): (0, 1), (2, 3): (0, 1)})
-    stepped = graphs.generate_step(d3, 1, 2, 3)
-    assert stepped is not None
+    stepped = graphs.maximal_extension(d3)
+    assert stepped.is_complete()
     assert stepped.xi(1, 3) == 0 and stepped.eta(1, 3) == 2
 
     mixed = edge_graph(3, 1, 2, {(1, 2): (-1, 0), (2, 3): (1, 1)})
-    stepped = graphs.generate_step(mixed, 1, 2, 3)
-    assert stepped is not None
+    stepped = graphs.maximal_extension(mixed)
+    assert stepped.is_complete()
     assert stepped.xi(1, 3) == 1 and stepped.eta(1, 3) == stepped.eta(2, 3)
 
     # cancelling twists: no rule applies
     stuck = edge_graph(3, 1, 2, {(1, 2): (0, 1), (2, 3): (0, 1)})
-    assert graphs.generate_step(stuck, 1, 2, 3) is None
+    assert graphs.maximal_extension(stuck) == stuck
 
 
 def test_maximal_extension():
@@ -195,29 +237,29 @@ def test_maximal_extension():
 
 def test_potentially_complete():
     g = edge_graph(4, 1, 2, {(1, 2): (0, 1), (2, 3): (1, 1), (3, 4): (0, 1)})
-    assert graphs.is_potentially_complete(g, [1, 2, 3, 4])
+    assert oracle_potentially_complete(g, [1, 2, 3, 4])
     valley = edge_graph(4, 1, 2, {(1, 2): (1, 1), (2, 3): (0, 1), (3, 4): (1, 1)})
-    assert not graphs.is_potentially_complete(valley, [1, 2, 3, 4])
+    assert not oracle_potentially_complete(valley, [1, 2, 3, 4])
     single = edge_graph(2, 1, 2, {(1, 2): (1, 1)})
-    assert graphs.is_potentially_complete(single, [1, 2])
+    assert oracle_potentially_complete(single, [1, 2])
     # two adjacent equalities in the level chain are rejected
     plateau = edge_graph(4, 2, 3, {(1, 2): (1, 1), (2, 3): (1, 1), (3, 4): (1, 1)})
-    assert not graphs.is_potentially_complete(plateau, [1, 2, 3, 4])
+    assert not oracle_potentially_complete(plateau, [1, 2, 3, 4])
     # a single equal-level elbow survives if the twists do not cancel
     elbow = edge_graph(3, 1, 3, {(1, 2): (1, 1), (2, 3): (1, 1)})
-    assert graphs.is_potentially_complete(elbow, [1, 2, 3])
+    assert oracle_potentially_complete(elbow, [1, 2, 3])
     cancelling = edge_graph(3, 1, 2, {(1, 2): (1, 1), (2, 3): (1, 1)})
-    assert not graphs.is_potentially_complete(cancelling, [1, 2, 3])
+    assert not oracle_potentially_complete(cancelling, [1, 2, 3])
 
 
 def test_is_tree():
-    assert graphs.is_tree(edge_graph(2, 1, 2, {(1, 2): (0, 1)}))
+    assert edge_graph(2, 1, 2, {(1, 2): (0, 1)}) in graphs.enumerate_trees(1, 2, 2)
     star = edge_graph(3, 1, 2, {(1, 2): (-1, 0), (1, 3): (-1, 0)})
-    assert graphs.is_tree(star)
-    assert not graphs.is_tree(PROPER_TRIANGLE)  # has a loop
+    assert star in graphs.enumerate_trees(1, 3, 2)
+    assert PROPER_TRIANGLE not in graphs.enumerate_trees(0, 3, 2)  # has a loop
     disconnected = edge_graph(3, 1, 2, {(1, 2): (0, 1)})
-    assert not graphs.is_tree(disconnected)
-    assert graphs.is_tree(IterGraph(k=1, r=0, d=2))
+    assert disconnected not in graphs.enumerate_trees(1, 3, 2)
+    assert IterGraph(k=1, r=0, d=2) in graphs.enumerate_trees(0, 1, 2)
 
 
 def test_enumerate_complete_proper_examples():
@@ -275,11 +317,11 @@ def test_extension_order_independence():
                 assert lex == rev
 
 
-def test_count_partition_graphs():
-    assert graphs.count_partition_graphs(recur.Partition(((1,), (2,))), 1, 2) == 1
-    assert graphs.count_partition_graphs(recur.Partition(((1,), (2,), (3,))), 0, 3) == 2
-    with pytest.raises(ValueError):
-        graphs.count_partition_graphs(recur.Partition(((1,), (2,), (3,))), 1, 2)
+def partition_graph_count(d, r, sizes):
+    """Strict graphs with a given t-block partition: (d-1)!/(d-t)! twists
+    across the blocks times U(r-1, |B|) inside each block B."""
+    ways = math.factorial(d - 1) // math.factorial(d - len(sizes))
+    return ways * math.prod(recur.u_value(d, r - 1, n) for n in sizes)
 
 
 def test_partition_counts_against_enumeration():
@@ -288,23 +330,27 @@ def test_partition_counts_against_enumeration():
     for d in (2, 3):
         for r in (0, 1):
             for k in (2, 3, 4):
-                total = 0
-                for t in range(2, min(d, k) + 1):
-                    for sizes, count in recur.block_size_classes(k, t):
-                        part = _partition_with_sizes(sizes)
-                        total += count * graphs.count_partition_graphs(part, r, d)
-                strict = [g for g in graphs.enumerate_complete_proper(r, k, d)
-                          if g.is_strict()]
-                assert total == len(strict)
+                total = sum(count * partition_graph_count(d, r, sizes)
+                            for t in range(2, min(d, k) + 1)
+                            for sizes, count in recur.block_size_classes(k, t))
+                assert total == len(strict_graphs(r, k, d))
                 assert total == recur.u_value(d, r, k) - recur.u_value(d, r - 1, k)
 
 
-def _partition_with_sizes(sizes):
-    blocks, start = [], 1
-    for n in sizes:
-        blocks.append(tuple(range(start, start + n)))
-        start += n
-    return recur.Partition(tuple(blocks))
+def test_partition_lemma_per_partition():
+    # the lemma partition by partition: every set partition of {1..k} into
+    # 2 <= t <= d blocks is the block structure of exactly the counted number
+    # of strict graphs.  extract_partition only returns such partitions and
+    # raises on a strict graph without one, so matching their number (the
+    # Stirling numbers, as class sizes) shows that each of them occurs.
+    for d in (2, 3):
+        for r in (0, 1):
+            for k in range(1, 5):
+                found = Counter(extract_partition(g) for g in strict_graphs(r, k, d))
+                assert len(found) == sum(count for t in range(2, min(d, k) + 1)
+                                         for _, count in recur.block_size_classes(k, t))
+                for part, n in found.items():
+                    assert n == partition_graph_count(d, r, [len(b) for b in part]), part
 
 
 def test_canonical_round_trip():
@@ -325,7 +371,7 @@ def test_random_labelings_round_trip_and_validate(data):
                 xi = data.draw(st.integers(min_value=-1, max_value=r))
                 eta = 0 if xi == -1 else data.draw(st.integers(min_value=1, max_value=d - 1))
                 g = g.with_edge(a, b, xi, eta)
-    assert graphs.validate_graph(g)
+    assert graphs.graph_violation(g) is None
     assert graphs.parse_canonical(g.canonical()) == g
     if graphs.is_proper(g):
         ext = graphs.maximal_extension(g)
@@ -380,8 +426,6 @@ def test_extension_matches_restart_oracle(data):
     assert graphs.is_proper(g) == oracle_is_proper(g)
     for order in ("lex", "reverse"):
         assert graphs.maximal_extension(g, order) == oracle_maximal_extension(g, order)
-    for a, b, c in permutations(range(1, g.k + 1), 3):
-        assert graphs.generate_step(g, a, b, c) == oracle_generate_step(g, a, b, c)
 
 
 @pytest.mark.parametrize("text", [

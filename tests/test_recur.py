@@ -173,16 +173,15 @@ def test_u_bound_examples():
                 assert recur.u_bound_check(d, r, k)
 
 
-def partitions_into_blocks(k: int, t: int) -> list[recur.Partition]:
-    """All set partitions of {1..k} into exactly t blocks."""
-    out: list[recur.Partition] = []
+def partitions_into_blocks(k: int, t: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All set partitions of {1..k} into exactly t blocks, each a sorted
+    tuple of sorted blocks."""
+    out: list[tuple[tuple[int, ...], ...]] = []
 
     def extend(elem: int, blocks: list[list[int]]):
         if elem > k:
             if len(blocks) == t:
-                out.append(
-                    recur.Partition(tuple(sorted(tuple(b) for b in blocks)))
-                )
+                out.append(tuple(sorted(tuple(b) for b in blocks)))
             return
         # prune: remaining elements cannot fill the missing blocks
         if len(blocks) + (k - elem + 1) < t:
@@ -203,7 +202,7 @@ def partitions_into_blocks(k: int, t: int) -> list[recur.Partition]:
 def test_partitions_into_blocks():
     parts = partitions_into_blocks(3, 2)
     assert len(parts) == 3
-    assert all(p.t == 2 for p in parts)
+    assert all(len(p) == 2 for p in parts)
     assert len(partitions_into_blocks(4, 2)) == 7  # Stirling S(4,2)
     assert len(partitions_into_blocks(4, 3)) == 6
 
@@ -218,15 +217,14 @@ def test_block_size_classes():
     # every class count against the enumerated set partitions
     for k in range(1, 7):
         for t in range(1, k + 1):
-            enumerated = Counter(
-                tuple(sorted(part.sizes, reverse=True)) for part in partitions_into_blocks(k, t))
+            enumerated = Counter(tuple(sorted(map(len, part), reverse=True))
+                                 for part in partitions_into_blocks(k, t))
             assert dict(recur.block_size_classes(k, t)) == enumerated, (k, t)
 
 
 def test_partition_weight_helper():
-    part = recur.Partition(((1, 2), (3,), (4,)))
-    assert part.sizes == (2, 1, 1)
-    assert part.size_multiset_weight() == 2  # two singleton blocks
+    assert recur._multiset_weight((2, 1, 1)) == 2  # two singleton blocks
+    assert recur._multiset_weight((2, 2, 2, 1)) == 6
 
 
 def test_partition_recursion():
