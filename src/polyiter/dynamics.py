@@ -72,10 +72,6 @@ def poly_map(p: int, d: int, A: int, C: int) -> FieldParams:
     return field_params(p, d, A, C)
 
 
-def eval_map(f: FieldParams, x: int) -> int:
-    return (f.A * pow(x % f.p, f.d, f.p) + f.C) % f.p
-
-
 def _mirror(table: np.ndarray, p: int, odd: bool, shift: int) -> None:
     """Fill table[x] for x > p//2 in place from table[p - x]: the same value
     when the map is even in x, (shift - value) % p when it is odd (shift is
@@ -129,14 +125,13 @@ def step_table(f: FieldParams) -> np.ndarray:
     return table
 
 
-def _iterate(table: np.ndarray, arr: np.ndarray, n: int) -> np.ndarray:
-    """arr mapped n >= 0 times through table.  With n applications left, each
-    step takes the schedule that gathers fewer elements: n gathers of arr
-    through the current table, or binary powering at n.bit_length() - 1
-    squarings of the table plus popcount(n) gathers of arr."""
-    while n > 1 and n * len(arr) > (
-        (n.bit_length() - 1) * len(table) + n.bit_count() * len(arr)
-    ):
+def _iterate(table: np.ndarray, n: int) -> np.ndarray:
+    """table composed with itself n >= 0 more times.  With n compositions
+    left, each step takes the schedule with fewer gathers of a table: n
+    direct gathers, or binary powering at n.bit_length() - 1 squarings plus
+    popcount(n) gathers."""
+    arr = table
+    while n > 1 and n > (n.bit_length() - 1) + n.bit_count():
         if n & 1:
             arr = table[arr]
         n >>= 1
@@ -148,8 +143,8 @@ def _iterate(table: np.ndarray, arr: np.ndarray, n: int) -> np.ndarray:
 
 def apply_map_to_domain(f: FieldParams, N: int) -> np.ndarray:
     """Array of f^N(x) for all x.  With N = 2**t * m, m odd, the step table
-    f is squared t times and the other m - 1 applications go through
-    _iterate to that table itself, so no pass is a copy of the identity."""
+    f is squared t times and _iterate composes that table with itself the
+    other m - 1 times, so no pass is a copy of the identity."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
     if N == 0:
@@ -160,7 +155,7 @@ def apply_map_to_domain(f: FieldParams, N: int) -> np.ndarray:
     while not N & 1:
         table = table[table]
         N >>= 1
-    return _iterate(table, table, N - 1)
+    return _iterate(table, N - 1)
 
 
 def _image_mask(table: np.ndarray, even: bool) -> np.ndarray:
@@ -190,14 +185,15 @@ def _image_graph(table: np.ndarray, d: int) -> tuple[np.ndarray | None, np.ndarr
 
 
 def _image_from_table(table: np.ndarray, N: int, d: int) -> int:
-    """#f^N(F_p) for N >= 1, as #f^(N-1)(S_1): S_1 = f(F_p) is read off the
-    hit mask, so the first gather over its (p-1)/d + 1 points walks the table
-    in ascending order, and the values are counted on the cleared mask."""
-    hit = _image_mask(table, d % 2 == 0)
-    if N > 1:
-        image = np.flatnonzero(hit)
-        hit[:] = False
-        hit[_iterate(table, image, N - 1)] = True
+    """#f^N(F_p) for N >= 1.  N = 1 counts the hit mask of S_1 = f(F_p).
+    Deeper, #f^N(F_p) = #f^(N-1)(S_1) is the number of values g^(N-1) takes
+    on the graph g that _image_graph induces on S_1, counted on a mask over
+    its labels, so the powering runs over (p-1)/d + 1 entries, not p."""
+    if N == 1:
+        return int(np.count_nonzero(_image_mask(table, d % 2 == 0)))
+    _, g, _ = _image_graph(table, d)
+    hit = np.zeros(len(g), dtype=bool)
+    hit[_iterate(g, N - 2)] = True
     return int(np.count_nonzero(hit))
 
 
@@ -228,7 +224,7 @@ def _profile(f: FieldParams, N: int) -> np.ndarray:
         values, c = np.arange((f.p - 1) // f.d + 1), 0  # g^0: any label for C
         if N > 1:
             _, g, label = _image_graph(step_table(f), f.d)
-            values, c = _iterate(g, g, N - 2), label(0)
+            values, c = _iterate(g, N - 2), label(0)
         counts = np.bincount(values, minlength=len(values)) * f.d
         counts[values[c]] -= f.d - 1
         profile = np.bincount(counts)
@@ -254,7 +250,7 @@ def _power_sum(profile: np.ndarray, k: int) -> int:
 def orbit_of_zero(f: FieldParams) -> OrbitSummary:
     """Brent's scheme: power-of-two teleports find the period, then a
     synchronized scan finds the tail.  Constant memory; the step is
-    eval_map inlined on locals, since a call per step costs more than it."""
+    inlined on locals, since a call per step costs more than it."""
     p, d, A, C = f.p, f.d, f.A, f.C
     power = lam = 1
     tortoise, hare = 0, C % p  # f(0)

@@ -317,7 +317,9 @@ def check_moment_identities(desk: bool = True) -> str:
                 direct, via_q = dynamics.zero_count_identity(f, N)
                 _require(via_q.denominator == 1 and int(via_q) == direct,
                          f"zero-count identity broke {at}")
-                _require(dynamics.image_size(f, N) == p - direct,
+                # _profile shares g with image_size; dist is the full-domain count
+                image = dynamics.image_size(f, N)
+                _require(image == p - direct and image == p - dist.zero_count(),
                          f"image != p - unhit count at {at}")
             _require(dynamics.image_size(f, 1) == (p - 1) // d + 1,
                      f"depth-1 image formula p={p} d={d}")

@@ -15,6 +15,8 @@ from polyiter.errors import BudgetError
 from polyiter.field import FieldParams
 from polyiter.graphs import IterGraph
 
+from oracles import eval_map
+
 F5 = poly_map(5, 2, 1, 1)
 F13 = poly_map(13, 2, 1, 1)
 
@@ -117,7 +119,7 @@ def test_homogeneous_iterate_matches_affine():
             for x in range(f.p):
                 affine = x
                 for _ in range(level):
-                    affine = dynamics.eval_map(f, affine)
+                    affine = eval_map(f, affine)
                 assert homogeneous_iterate(f, x, 1, level) == affine
 
 
@@ -461,7 +463,7 @@ def test_irreducibility_probe():
 
 def iterate(f, x, times):
     for _ in range(times):
-        x = dynamics.eval_map(f, x)
+        x = eval_map(f, x)
     return x
 
 

@@ -10,6 +10,8 @@ from polyiter import dynamics
 from polyiter.dynamics import poly_map
 from polyiter.errors import BudgetError
 
+from oracles import eval_map
+
 F5 = poly_map(5, 2, 1, 1)
 
 
@@ -19,16 +21,16 @@ def brute_orbit(f):
     x, i = 0, 0
     while x not in seen:
         seen[x] = i
-        x = dynamics.eval_map(f, x)
+        x = eval_map(f, x)
         i += 1
     tail = seen[x]
     return tail, i - tail
 
 
 def test_eval_map_examples():
-    assert dynamics.eval_map(F5, 2) == 0
-    assert dynamics.eval_map(F5, 0) == F5.C
-    assert dynamics.eval_map(poly_map(7, 3, 2, 3), 1) == 5
+    assert eval_map(F5, 2) == 0
+    assert eval_map(F5, 0) == F5.C
+    assert eval_map(poly_map(7, 3, 2, 3), 1) == 5
 
 
 def test_apply_map_to_domain():
@@ -78,16 +80,16 @@ def test_apply_map_matches_pass_loop(f, N):
 def test_step_table_matches_eval_map(f):
     # the step table is built on x <= p//2 and mirrored, f(p - x) = f(x) for
     # even d and 2C - f(x) for odd d
-    assert dynamics.step_table(f).tolist() == [dynamics.eval_map(f, x) for x in range(f.p)]
+    assert dynamics.step_table(f).tolist() == [eval_map(f, x) for x in range(f.p)]
 
 
 def image_size_oracle(f, N):
     return int(np.count_nonzero(np.bincount(apply_map_oracle(f, N), minlength=f.p)))
 
 
-# the shallow depths, and one past each power of two (N - 1 = 2**j is a
-# single squared-table gather of the image set)
-EXPLICIT_DEPTHS = (0, 1, 2, 3, *(2**j + 1 for j in range(2, 12)))
+# the shallow depths, and 2**j, 2**j + 1, 2**j + 2: the image kernel composes
+# g with itself n = N - 2 times, so n runs over 2**j - 2, 2**j - 1 and 2**j
+EXPLICIT_DEPTHS = (0, 1, 2, 3, *(2**j + i for j in range(2, 12) for i in range(3)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -95,6 +97,8 @@ EXPLICIT_DEPTHS = (0, 1, 2, 3, *(2**j + 1 for j in range(2, 12)))
 @example(f=F5, N=0)
 @example(f=poly_map(257, 256, 3, 5), N=2)
 @example(f=poly_map(293, 2, 1, 0), N=3000)
+@example(f=poly_map(271, 3, 5, 7), N=1024)  # odd d: S_1 labelled through rank
+@example(f=poly_map(293, 4, 3, 1), N=2049)
 def test_image_size_matches_pass_loop(f, N):
     for depth in (N, *EXPLICIT_DEPTHS):
         assert dynamics.image_size(f, depth) == image_size_oracle(f, depth)
@@ -129,27 +133,27 @@ def test_power_table_at_the_mirror_seam_for_large_p(e):
         assert int(table[x]) == pow(x, e, p)
 
 
-def iterate_oracle(table, arr, n):
+def iterate_oracle(table, n):
+    arr = table
     for _ in range(n):
         arr = table[arr]
     return arr
 
 
 @settings(max_examples=30, deadline=None)
-@given(f=maps_to_300(), x=st.integers(min_value=0, max_value=299))
-@example(f=poly_map(257, 2, 3, 5), x=0)
-@example(f=poly_map(193, 2, 1, 0), x=7)
-def test_iterate_matches_successive_gathers(f, x):
-    # arrays of one point, of the image set's size and of the whole domain
-    # put the direct and the binary-powering schedules on both sides of the
-    # switch at every n up to 40
+@given(f=maps_to_300())
+@example(f=poly_map(257, 2, 3, 5))
+@example(f=poly_map(193, 2, 1, 0))
+@example(f=poly_map(211, 5, 4, 210))
+def test_iterate_matches_successive_gathers(f):
+    # the step table and the graph it induces on its image set, at every n up
+    # to 40, on both sides of the switch between direct gathers and powering
     table = dynamics.step_table(f)
-    image = np.flatnonzero(np.bincount(table, minlength=f.p))
-    assert len(image) == (f.p - 1) // f.d + 1
-    for arr in (np.array([x % f.p]), image, np.arange(f.p)):
+    _, g, _ = dynamics._image_graph(table, f.d)
+    assert len(g) == (f.p - 1) // f.d + 1
+    for t in (table, g):
         for n in range(41):
-            got = dynamics._iterate(table, arr, n)
-            assert got.tolist() == iterate_oracle(table, arr, n).tolist(), n
+            assert dynamics._iterate(t, n).tolist() == iterate_oracle(t, n).tolist(), n
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 6])
@@ -195,7 +199,7 @@ def test_orbit_confirms_collision():
         orbit = dynamics.orbit_of_zero(f)
         iterates = [0]
         for _ in range(orbit.collision_index):
-            iterates.append(dynamics.eval_map(f, iterates[-1]))
+            iterates.append(eval_map(f, iterates[-1]))
         assert iterates[-1] == iterates[orbit.tail_len]
         assert len(set(iterates[:-1])) == orbit.collision_index
 
@@ -550,7 +554,7 @@ def test_graph_stats_match_path_stack_oracle(table):
 @example(f=poly_map(211, 5, 4, 210))  # odd d: S_1 labelled through rank
 @example(f=poly_map(257, 256, 3, 5))  # d = p - 1: S_1 = {C, A + C}
 def test_functional_graph_stats_match_path_stack_oracle(f):
-    table = np.array([dynamics.eval_map(f, x) for x in range(f.p)], dtype=np.int64)
+    table = np.array([eval_map(f, x) for x in range(f.p)], dtype=np.int64)
     assert dynamics.functional_graph_stats(f) == graph_stats_oracle(table)
 
 
