@@ -166,41 +166,75 @@ def _image_mask(table: np.ndarray, even: bool) -> np.ndarray:
     return hit
 
 
-def _image_graph(table: np.ndarray, d: int) -> tuple[np.ndarray | None, np.ndarray, Callable]:
-    """(hit, g, label): the mask of S_1 where the labelling needs one, the
-    graph g the table induces on S_1 with labels 0..m1-1, and label(y), the
-    label of table[y].  At d = 2 label x <= p//2 stands for f(x), as f(y) =
-    f(p - y): g = min(f, p - f) on that half, label(y) = min(y, p - y) and
-    hit is None.  Any other d, including an arbitrary successor table at
-    d = 1, labels S_1 in ascending order through a rank array over hit."""
-    p = len(table)
-    if d == 2:
-        low = table[: p // 2 + 1]
-        return None, np.minimum(low, p - low), lambda y: np.minimum(y, p - y)
+def _image_graph(table: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """(hit, g, label) for the successor table of a degree-d map (d = 1
+    assumes nothing of the table): the mask of its image S_1, the graph g the
+    table induces on S_1, labelled 0..m1-1 in ascending order through a rank
+    array over hit, and label(y), the label of table[y]."""
     hit = _image_mask(table, d % 2 == 0)
     image = np.flatnonzero(hit)
-    rank = np.empty(p, dtype=np.int64)
+    rank = np.empty(len(table), dtype=np.int64)
     rank[image] = np.arange(len(image))
     return hit, rank[table[image]], lambda y: rank[table[y]]
 
 
-def _image_from_table(table: np.ndarray, N: int, d: int) -> int:
-    """#f^N(F_p) for N >= 1.  N = 1 counts the hit mask of S_1 = f(F_p).
-    Deeper, #f^N(F_p) = #f^(N-1)(S_1) is the number of values g^(N-1) takes
-    on the graph g that _image_graph induces on S_1, counted on a mask over
-    its labels, so the powering runs over (p-1)/d + 1 entries, not p."""
-    if N == 1:
-        return int(np.count_nonzero(_image_mask(table, d % 2 == 0)))
-    _, g, _ = _image_graph(table, d)
-    hit = np.zeros(len(g), dtype=bool)
-    hit[_iterate(g, N - 2)] = True
-    return int(np.count_nonzero(hit))
+def _square_values(f: FieldParams) -> np.ndarray:
+    """x**2 + c - p for x <= p//2, with c = A*C mod p, from the cached squares:
+    each lies in [-p, p - 1) and is congruent to x**2 + c, the value at x of
+    the normal form x**2 + c of a degree-2 map."""
+    p = f.p
+    return _power_table(p, 2)[: p // 2 + 1] + (f.A * f.C % p - p)
+
+
+def _square_mask(f: FieldParams) -> np.ndarray:
+    """Hit mask of the image {(x**2 + c) mod p} of the normal form at d = 2."""
+    hit = np.zeros(f.p, dtype=bool)
+    hit[_square_values(f)] = True  # numpy reads an index i < 0 as p + i
+    return hit
+
+
+def _fold(y: np.ndarray, p: int) -> np.ndarray:
+    """min(r, p - r) for r = y mod p, in place, for y in [-p, p]: the distance
+    from y to the nearest multiple of p."""
+    np.abs(y, out=y)
+    np.minimum(y, p - y, out=y)
+    return y
+
+
+def _induced_graph(f: FieldParams) -> tuple[np.ndarray, int]:
+    """(g, c): the graph f induces on S_1 = f(F_p), labelled 0..m1-1 with
+    m1 = (p-1)/d + 1, and c, the label of f(0).
+
+    At d = 2 it is read off the normal form x**2 + A*C, to which x -> A*x
+    conjugates f.  That bijection fixes 0 and carries every f^N(F_p), the
+    preimage counts and the cycles and tails of f onto the normal form's, so
+    every quantity read from g is the same.  The normal form is even and
+    one-to-one on x <= p//2, so label x stands for x**2 + A*C, f(0) has
+    label 0 and g(x) = fold(x**2 + A*C): one addition to the cached squares
+    and a fold, with no step table.  Any other d labels S_1 through
+    _image_graph on the step table."""
+    if f.d == 2:
+        return _fold(_square_values(f), f.p), 0
+    _, g, label = _image_graph(step_table(f), f.d)
+    return g, int(label(0))
 
 
 def image_size(f: FieldParams, N: int) -> int:
+    """#f^N(F_p).  N = 1 counts the hit mask of S_1 = f(F_p), that of the
+    normal form at d = 2.  Deeper, #f^N(F_p) = #f^(N-1)(S_1) is the number
+    of values g^(N-1) takes on the graph g induced on S_1, counted on a mask
+    over its (p-1)/d + 1 labels."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
-    return _image_from_table(step_table(f), N, f.d) if N else f.p
+    if N == 0:
+        return f.p
+    if N == 1:
+        hit = _square_mask(f) if f.d == 2 else _image_mask(step_table(f), f.d % 2 == 0)
+        return int(np.count_nonzero(hit))
+    g, _ = _induced_graph(f)
+    hit = np.zeros(len(g), dtype=bool)
+    hit[_iterate(g, N - 2)] = True
+    return int(np.count_nonzero(hit))
 
 
 def preimage_distribution(f: FieldParams, N: int) -> PreimageDistribution:
@@ -223,8 +257,8 @@ def _profile(f: FieldParams, N: int) -> np.ndarray:
     else:
         values, c = np.arange((f.p - 1) // f.d + 1), 0  # g^0: any label for C
         if N > 1:
-            _, g, label = _image_graph(step_table(f), f.d)
-            values, c = _iterate(g, N - 2), label(0)
+            g, c = _induced_graph(f)
+            values = _iterate(g, N - 2)
         counts = np.bincount(values, minlength=len(values)) * f.d
         counts[values[c]] -= f.d - 1
         profile = np.bincount(counts)
@@ -356,19 +390,13 @@ def _decompose(table: np.ndarray) -> tuple[np.ndarray, int, int]:
     return dist, int(np.count_nonzero(low == np.arange(m))), m
 
 
-def _stats_from_table(table: np.ndarray, d: int = 1) -> GraphStats:
-    """Decompose a functional graph given its successor table, that of a
-    degree-d map (d = 1, the default, assumes nothing of the table).
-
-    Every cycle and every vertex with a predecessor lies in the table's image
-    S_1, labelled 0..m1-1 by _image_graph; the doubling runs on the induced
-    graph g alone, (p-1)/d + 1 vertices for a polynomial map.  The
-    in-degree-0 vertices are exactly the complement of S_1, and each one's
-    tail is one step more than the distance of its successor.
-    """
-    hit, g, label = _image_graph(table, d)
-    if hit is None:
-        hit = _image_mask(table, True)
+def _graph_stats(hit: np.ndarray, g: np.ndarray, label: Callable) -> GraphStats:
+    """Statistics of a functional graph from the mask hit of its image S_1,
+    the graph g it induces on S_1 and label(y), the label in g of the
+    successor of y.  S_1 holds every cycle and every vertex with a
+    predecessor, so the doubling runs on g alone, and the in-degree-0
+    vertices are exactly the complement of S_1: each one's tail is one step
+    more than the distance of its successor."""
     dist, num_cycles, cyclic_count = _decompose(g)
     tails = 1 + dist[label(np.flatnonzero(~hit))]
     return GraphStats(
@@ -379,5 +407,19 @@ def _stats_from_table(table: np.ndarray, d: int = 1) -> GraphStats:
     )
 
 
+def _stats_from_table(table: np.ndarray, d: int = 1) -> GraphStats:
+    """Decompose a functional graph given its successor table, that of a
+    degree-d map (d = 1, the default, assumes nothing of the table), on the
+    graph _image_graph induces on its image: (p-1)/d + 1 vertices for a
+    polynomial map."""
+    return _graph_stats(*_image_graph(table, d))
+
+
 def functional_graph_stats(f: FieldParams) -> GraphStats:
-    return _stats_from_table(step_table(f), f.d)
+    """At d = 2 on the normal form x**2 + c (see _induced_graph): its image
+    is {(x**2 + c) mod p}, and the successor y**2 + c of any y has the label
+    fold(y)."""
+    if f.d != 2:
+        return _stats_from_table(step_table(f), f.d)
+    g, _ = _induced_graph(f)
+    return _graph_stats(_square_mask(f), g, lambda y: _fold(y, f.p))

@@ -191,9 +191,8 @@ def graph_sweep(cfg: SweepConfig) -> tuple[list[dict], dict]:
         precyclic_bound = 28 * p * math.log(cfg.d) / loglog
         v2_limit = (2 / (cfg.d - 1) + 1) * p / n0
         for f in maps:
-            table = dynamics.step_table(f)
-            stats = dynamics._stats_from_table(table, cfg.d)
-            image_n0 = dynamics._image_from_table(table, n0, cfg.d)
+            stats = dynamics.functional_graph_stats(f)
+            image_n0 = dynamics.image_size(f, n0)
             v2_ok = image_n0 < v2_limit
             records.append({
                 "p": p, "d": cfg.d, "A": f.A, "C": f.C,

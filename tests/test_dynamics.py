@@ -146,10 +146,11 @@ def iterate_oracle(table, n):
 @example(f=poly_map(193, 2, 1, 0))
 @example(f=poly_map(211, 5, 4, 210))
 def test_iterate_matches_successive_gathers(f):
-    # the step table and the graph it induces on its image set, at every n up
-    # to 40, on both sides of the switch between direct gathers and powering
+    # the step table and the graph the kernels run on its image set (the
+    # normal form's at d = 2), at every n up to 40, on both sides of the
+    # switch between direct gathers and powering
     table = dynamics.step_table(f)
-    _, g, _ = dynamics._image_graph(table, f.d)
+    g, _ = dynamics._induced_graph(f)
     assert len(g) == (f.p - 1) // f.d + 1
     for t in (table, g):
         for n in range(41):
@@ -556,6 +557,46 @@ def test_graph_stats_match_path_stack_oracle(table):
 def test_functional_graph_stats_match_path_stack_oracle(f):
     table = np.array([eval_map(f, x) for x in range(f.p)], dtype=np.int64)
     assert dynamics.functional_graph_stats(f) == graph_stats_oracle(table)
+
+
+@st.composite
+def quadratic_maps(draw):
+    """d = 2 over primes p <= 300, with A = p - 1 and C = 0 (so A*C = 0)
+    drawn as often as any other value."""
+    p = draw(st.sampled_from(PRIMES_TO_300))
+    A = draw(st.one_of(st.just(p - 1), st.integers(min_value=1, max_value=p - 1)))
+    C = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=p - 1)))
+    return poly_map(p, 2, A, C)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=quadratic_maps())
+@example(f=poly_map(3, 2, 2, 0))
+@example(f=poly_map(293, 2, 292, 0))
+@example(f=poly_map(293, 2, 292, 5))
+@example(f=poly_map(281, 2, 17, 0))
+@example(f=poly_map(281, 2, 17, 280))  # x**2 + A*C runs past p for most x
+def test_degree_two_kernels_match_normal_form_and_original_coordinates(f):
+    # the d = 2 kernels run on the normal form x**2 + A*C, the conjugate of f
+    # by x -> A*x; the oracles walk f itself in its own coordinates
+    p = f.p
+    normal = poly_map(p, 2, 1, f.A * f.C % p)
+    table = np.array([eval_map(f, x) for x in range(p)], dtype=np.int64)
+    stats = graph_stats_oracle(table)
+    assert dynamics.functional_graph_stats(f) == stats
+    assert dynamics.functional_graph_stats(normal) == stats
+    arr, depth = np.arange(p, dtype=np.int64), 0
+    for N in EXPLICIT_DEPTHS:
+        for _ in range(N - depth):
+            arr = table[arr]
+        depth = N
+        counts = np.bincount(arr, minlength=p)
+        image = image_size_oracle(f, N)
+        assert image == int(np.count_nonzero(counts))
+        assert dynamics.image_size(f, N) == image == dynamics.image_size(normal, N), N
+        profile = np.bincount(counts)
+        assert np.array_equal(dynamics._profile(f, N), profile), N
+        assert np.array_equal(dynamics._profile(normal, N), profile), N
 
 
 def _cycle_with_tail(cycle, tail):

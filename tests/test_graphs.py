@@ -195,14 +195,6 @@ def test_extract_partition():
         extract_partition(non_strict)
 
 
-def test_extract_partition_on_every_enumerated_strict_graph():
-    for d in (2, 3):
-        for r in (0, 1):
-            for k in (2, 3, 4):
-                for g in strict_graphs(r, k, d):
-                    assert 2 <= len(extract_partition(g)) <= d
-
-
 def test_generate_step_cases():
     # on a 3-vertex path the extension is one step: it adds {1,3} or nothing
     base = edge_graph(3, 1, 2, {(1, 2): (-1, 0), (2, 3): (-1, 0)})
@@ -338,15 +330,17 @@ def test_partition_counts_against_enumeration():
 
 
 def test_partition_lemma_per_partition():
-    # the lemma partition by partition: every set partition of {1..k} into
-    # 2 <= t <= d blocks is the block structure of exactly the counted number
-    # of strict graphs.  extract_partition only returns such partitions and
-    # raises on a strict graph without one, so matching their number (the
-    # Stirling numbers, as class sizes) shows that each of them occurs.
+    # the lemma partition by partition, on every enumerated strict graph:
+    # every set partition of {1..k} into 2 <= t <= d blocks is the block
+    # structure of exactly the counted number of strict graphs.
+    # extract_partition only returns such partitions and raises on a strict
+    # graph without one, so matching their number (the Stirling numbers, as
+    # class sizes) shows that each of them occurs.
     for d in (2, 3):
         for r in (0, 1):
             for k in range(1, 5):
                 found = Counter(extract_partition(g) for g in strict_graphs(r, k, d))
+                assert all(2 <= len(part) <= d for part in found)
                 assert len(found) == sum(count for t in range(2, min(d, k) + 1)
                                          for _, count in recur.block_size_classes(k, t))
                 for part, n in found.items():
