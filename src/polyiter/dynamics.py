@@ -219,18 +219,24 @@ def _induced_graph(f: FieldParams) -> tuple[np.ndarray, int]:
     return g, int(label(0))
 
 
+# One entry, like _power_table: every map of a prime's sweep shares it.
+@lru_cache(maxsize=1)
+def _power_image_size(p: int, d: int) -> int:
+    """#{x**d : x in F_p}, counted on the hit mask of the cached power table."""
+    return int(np.count_nonzero(_image_mask(_power_table(p, d), d % 2 == 0)))
+
+
 def image_size(f: FieldParams, N: int) -> int:
-    """#f^N(F_p).  N = 1 counts the hit mask of S_1 = f(F_p), that of the
-    normal form at d = 2.  Deeper, #f^N(F_p) = #f^(N-1)(S_1) is the number
-    of values g^(N-1) takes on the graph g induced on S_1, counted on a mask
-    over its (p-1)/d + 1 labels."""
+    """#f^N(F_p).  y -> A*y + C is a bijection of F_p, so #f(F_p) is the
+    number of d-th powers, counted once per (p, d).  Deeper, #f^N(F_p) =
+    #f^(N-1)(S_1) is the number of values g^(N-1) takes on the graph g
+    induced on S_1 = f(F_p), counted on a mask over its (p-1)/d + 1 labels."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
     if N == 0:
         return f.p
     if N == 1:
-        hit = _square_mask(f) if f.d == 2 else _image_mask(step_table(f), f.d % 2 == 0)
-        return int(np.count_nonzero(hit))
+        return _power_image_size(f.p, f.d)
     g, _ = _induced_graph(f)
     hit = np.zeros(len(g), dtype=bool)
     hit[_iterate(g, N - 2)] = True
@@ -281,11 +287,21 @@ def _power_sum(profile: np.ndarray, k: int) -> int:
     return sum(int(n) * j**k for j, n in enumerate(profile))
 
 
+def _orbit_step(f: FieldParams) -> tuple[int, int, int, int, bool]:
+    """(p, d, A, C, sq) for stepping y -> (A * y**d + C) % p from 0, with y*y
+    in place of pow when sq.  At d = 2 they are those of the normal form
+    y**2 + A*C (see _induced_graph): x -> A*x fixes 0, so the tail, the cycle
+    and the distinctness of the orbit of 0 are the same."""
+    if f.d == 2:
+        return f.p, 2, 1, f.A * f.C % f.p, True
+    return f.p, f.d, f.A, f.C, False
+
+
 def orbit_of_zero(f: FieldParams) -> OrbitSummary:
     """Brent's scheme: power-of-two teleports find the period, then a
     synchronized scan finds the tail.  Constant memory; the step is
     inlined on locals, since a call per step costs more than it."""
-    p, d, A, C = f.p, f.d, f.A, f.C
+    p, d, A, C, sq = _orbit_step(f)
     power = lam = 1
     tortoise, hare = 0, C % p  # f(0)
     while tortoise != hare:
@@ -293,15 +309,15 @@ def orbit_of_zero(f: FieldParams) -> OrbitSummary:
             tortoise = hare
             power *= 2
             lam = 0
-        hare = (A * pow(hare, d, p) + C) % p
+        hare = (A * (hare * hare if sq else pow(hare, d, p)) + C) % p
         lam += 1
     tortoise = hare = 0
     for _ in range(lam):
-        hare = (A * pow(hare, d, p) + C) % p
+        hare = (A * (hare * hare if sq else pow(hare, d, p)) + C) % p
     mu = 0
     while tortoise != hare:
-        tortoise = (A * pow(tortoise, d, p) + C) % p
-        hare = (A * pow(hare, d, p) + C) % p
+        tortoise = (A * (tortoise * tortoise if sq else pow(tortoise, d, p)) + C) % p
+        hare = (A * (hare * hare if sq else pow(hare, d, p)) + C) % p
         mu += 1
     return OrbitSummary(tail_len=mu, cycle_len=lam)
 
@@ -310,14 +326,14 @@ def check_precondition(f: FieldParams, N: int) -> bool:
     """True iff 0, f(0), ..., f^N(0) are pairwise distinct."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
-    p, d, A, C = f.p, f.d, f.A, f.C
+    p, d, A, C, sq = _orbit_step(f)
     seen = set()
     x = 0
     for _ in range(N + 1):
         if x in seen:
             return False
         seen.add(x)
-        x = (A * pow(x, d, p) + C) % p
+        x = (A * (x * x if sq else pow(x, d, p)) + C) % p
     return True
 
 

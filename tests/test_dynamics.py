@@ -178,6 +178,17 @@ def test_image_size():
         assert dynamics.image_size(f, 1) == (p - 1) // d + 1
 
 
+def test_depth_one_image_for_every_map_of_each_prime_and_degree():
+    # #f(F_p) is counted once per (p, d): every d of a prime in turn, then
+    # the next prime, so a count kept for another d or another p shows
+    for p in (13, 17, 29, 37):
+        for d in (d for d in range(2, p) if (p - 1) % d == 0):
+            for A in range(1, p):
+                for C in range(p):
+                    f = poly_map(p, d, A, C)
+                    assert dynamics.image_size(f, 1) == image_size_oracle(f, 1), (p, d, A, C)
+
+
 def test_image_size_non_increasing():
     f = poly_map(101, 2, 3, 11)
     sizes = [dynamics.image_size(f, n) for n in range(6)]
@@ -353,16 +364,24 @@ def test_source_paths_cover_every_noncyclic_vertex():
         assert visited == set(range(p)) - cyclic
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_orbit_matches_hash_oracle(data):
-    p = data.draw(st.sampled_from([5, 13, 17, 29, 97, 101, 257]))
-    d = data.draw(st.sampled_from([d for d in (2, 3, 4) if (p - 1) % d == 0]))
-    A = data.draw(st.integers(min_value=1, max_value=p - 1))
-    C = data.draw(st.integers(min_value=0, max_value=p - 1))
-    f = poly_map(p, d, A, C)
+@settings(max_examples=150, deadline=None)
+@given(f=maps_to_300())
+@example(f=poly_map(293, 2, 17, 0))  # C = 0: 0 is a fixed point
+@example(f=poly_map(293, 2, 292, 5))  # A = p - 1
+@example(f=poly_map(293, 2, 292, 0))
+@example(f=poly_map(3, 2, 1, 1))
+@example(f=poly_map(3, 2, 2, 2))
+@example(f=poly_map(3, 2, 2, 0))
+def test_orbit_matches_hash_oracle(f):
+    # at d = 2 the orbit and the precondition walk the normal form
+    # y**2 + A*C, the conjugate of f by x -> A*x; the oracles walk f itself
     orbit = dynamics.orbit_of_zero(f)
     assert (orbit.tail_len, orbit.cycle_len) == brute_orbit(f)
+    iterates = [0]
+    for N in range(orbit.collision_index + 3):
+        held = dynamics.check_precondition(f, N)
+        assert held == (N < orbit.collision_index) == (len(set(iterates)) == N + 1), N
+        iterates.append(eval_map(f, iterates[-1]))
 
 
 def moment_oracle(f, N, k):
