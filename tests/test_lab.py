@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -241,6 +242,117 @@ def test_cli_sweep_json_metadata(tmp_path):
     assert payload["metadata"]["log_base"] == "e"
     assert payload["metadata"]["version"] == polyiter.__version__
     assert payload["records"]
+
+
+# The pinned sweep bytes: stdout and stderr of every mode under both draw
+# policies, with and without the precondition filter, at d in {2, 3, 4}.
+SWEEP_ARGS = {
+    "theorem-all-N3": ["theorem", "--p-min", "3", "--p-max", "30", "--policy", "all", "--N", "3"],
+    "theorem-all-N4-pre": ["theorem", "--p-min", "3", "--p-max", "30", "--policy", "all",
+                           "--N", "4", "--require-precondition"],
+    "collision-all": ["collision", "--p-min", "3", "--p-max", "30", "--policy", "all"],
+    "graph-all": ["graph", "--p-min", "3", "--p-max", "30", "--policy", "all"],
+    **{f"{mode}-random-pre": [mode, "--p-min", "1000", "--p-max", "1300", "--per-prime", "3",
+                              "--seed", "5", "--N", "3", "--require-precondition"]
+       for mode in ("theorem", "collision", "graph")},
+}
+
+SWEEP_PINS = [
+    ("theorem-all-N3", 2, "csv",
+     "3730ae6bd68276d0a69653cdc7665a4c28bd866aa56e909378a64dc5e36f9767"),
+    ("theorem-all-N3", 2, "json",
+     "757b8241e42c51699a0e024a12f17506099d63de2967674987007842320f3a44"),
+    ("theorem-all-N3", 3, "csv",
+     "afca9c61bcd7477b0bc810065c6888e78e0870829d7c7c553873d9b3fb70a2ef"),
+    ("theorem-all-N3", 3, "json",
+     "3925331e0a040d50e3ba8fe28efc6d93282bfc245458db6a69d734c8818cdd76"),
+    ("theorem-all-N3", 4, "csv",
+     "0fa52e268679e57b4b05a40005c5850d107e400ce8c50ab8dad39b56fd47168e"),
+    ("theorem-all-N3", 4, "json",
+     "c99399163af640f92d02086d152d69b92d476dbf2766eee4e25e6d691a5a892a"),
+    ("theorem-all-N4-pre", 2, "csv",
+     "f237607ee255bfff8db21d05cfe35f7ad17227bc0b111f872050272f435e7bc6"),
+    ("theorem-all-N4-pre", 2, "json",
+     "9b7ad5cfca13839a7c3f92b45308d22b21f784055fca5b7546cfb8052375ab97"),
+    ("theorem-all-N4-pre", 3, "csv",
+     "77ca09649ccfce1b3a731b59afede22d85c5a48a9689eeaa90ea9a53aeee57a6"),
+    ("theorem-all-N4-pre", 3, "json",
+     "073e54889de6c8c35dc07f08e8cd1ca21262f165daebcf58d4cdd6f2cf7a1b4c"),
+    ("theorem-all-N4-pre", 4, "csv",
+     "7d5cbc395202f6e49e0c9d4d69b3fb500702093113efbcfd162c4285c98d457d"),
+    ("theorem-all-N4-pre", 4, "json",
+     "5cd0b17e63ee5d2b38176f4ccb9deb8cdc5b320382f87e9b99dd7efe315b7cb2"),
+    ("collision-all", 2, "csv",
+     "5fe664571de21831d294a23ff2f88f8c0e760714346f4f013adc9d9167b680d5"),
+    ("collision-all", 2, "json",
+     "30753d2ba9c7c43949304c318d41a00586b95fb32920c82c5275fbd8797c56f5"),
+    ("collision-all", 3, "csv",
+     "c2e14de309323beb464b5502e0ceea96a2f17c2101e2974cc8e52ddb55dbf37e"),
+    ("collision-all", 3, "json",
+     "9e434756383ef82fa5605aab1a047b9bd4f1195115c8f5750435df9233c15aca"),
+    ("collision-all", 4, "csv",
+     "70fe8255f385cdc0ee191ded15ee868a9de6f8ce8028c1c275c8fd12a1629736"),
+    ("collision-all", 4, "json",
+     "1157b59443f1a90b4f332b886ed4eb387090ce0d820ac24dcc30d45cb0dfedcd"),
+    ("graph-all", 2, "csv",
+     "e50ef01b10a90a77443b64b36fc0945e0a87281f70f53b33cda2f529c000819f"),
+    ("graph-all", 2, "json",
+     "ee290b68a5492a33e9644c5355a4a8b487c9ced435614468920ebab7f76d72c8"),
+    ("graph-all", 3, "csv",
+     "47b1eedfa79d835d522b7a2e53fddf1166fad98484480834d2aa44d6a631bfbb"),
+    ("graph-all", 3, "json",
+     "a0705445e75246bfef19321ef13b3c9a4cf9c2e7c0d491eda6bb7b0ef73eba64"),
+    ("graph-all", 4, "csv",
+     "a4ac8f16f7a4f745e8edd32717341c50442cd0a3ca03628fccbfa35d50b952fc"),
+    ("graph-all", 4, "json",
+     "d2933042887245db250279979819ce3040bdde7d84c0fe67f93958775d49c937"),
+    ("theorem-random-pre", 2, "csv",
+     "4c44acb47b73fdc9b8569e17c89e55862f37730556450498eb80f94bad19a468"),
+    ("theorem-random-pre", 2, "json",
+     "2caea25c20851a4427775ea440f29253fb0a467d9c5c6ac294e172b364debbc5"),
+    ("theorem-random-pre", 3, "csv",
+     "4ad9c82f489ba73bcaaf5f24e8dc9a6ea506b0ed627a0f48b4f0ec33dc8b18b2"),
+    ("theorem-random-pre", 3, "json",
+     "7e222b09116a474ab38fab17f834822bbdac3d3681f12cb757823fbac4eb2cb0"),
+    ("theorem-random-pre", 4, "csv",
+     "5297311a0a1d8f48bf0a2b7442830e8bccf425ebb75e535e91c0bcaffa87c03a"),
+    ("theorem-random-pre", 4, "json",
+     "49fc51d7590e89126daa03da972e2be79c3fd3e202b5c3b23f7480eb7a568225"),
+    ("collision-random-pre", 2, "csv",
+     "5fd184ce76aa355b36d3a1c981ffdbe90aabae837b31c7521de9419b814dc85c"),
+    ("collision-random-pre", 2, "json",
+     "8b1fb8903ab6e1a6b14d596430b9319879a40fc45d9bb67710d389e278131cb4"),
+    ("collision-random-pre", 3, "csv",
+     "9bb2daeae13a42b828efa2ac760713b50ac3cf13d49ead3dbddbd7bb38b689a2"),
+    ("collision-random-pre", 3, "json",
+     "dc96f1a0fe894c3b5ca9616d8ae8575b467e439ce79f79c71be6b8970bfcf432"),
+    ("collision-random-pre", 4, "csv",
+     "3ecd8cd1e159a88c695bf12febc5e0e1b791da1d0f14e34089290e5889af40d1"),
+    ("collision-random-pre", 4, "json",
+     "e78700497dcaf506659d918f87f710b923f02e649c675ec77fb72b7b3ae72307"),
+    ("graph-random-pre", 2, "csv",
+     "0b4a3875a2d5e7d3c6ddd9e05b88acb5f44e729b3b62cad9e4ad5e4432758ecd"),
+    ("graph-random-pre", 2, "json",
+     "b0f8d13eb57abec897da6db9fd10832733b287f6777d174e009a7d5d888211a5"),
+    ("graph-random-pre", 3, "csv",
+     "53202cca8e73bfb663714bd62e42beb9d5d313079558e4e9b953905457791e05"),
+    ("graph-random-pre", 3, "json",
+     "1c6f20619b39734708c5d5438ab7259358887c46515fde9c4e764398c8023ca5"),
+    ("graph-random-pre", 4, "csv",
+     "ce0632420f769fe86035850be670418402e369f29caaefe392f7dbd02dafa12f"),
+    ("graph-random-pre", 4, "json",
+     "69d7f2141bfcb39b06294d0437cd2be3c26094601a99c7b6d09bf11e85cb9f27"),
+]
+
+
+@pytest.mark.parametrize("name, d, fmt, digest", SWEEP_PINS,
+                         ids=[f"{pin[0]}-d{pin[1]}-{pin[2]}" for pin in SWEEP_PINS])
+def test_cli_sweep_bytes_pinned(capsys, name, d, fmt, digest):
+    mode, *rest = SWEEP_ARGS[name]
+    argv = ["sweep", "--mode", mode, "--d", str(d), "--format", fmt, *rest]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256((out + err).encode()).hexdigest() == digest
 
 
 def test_cli_exit_codes():
