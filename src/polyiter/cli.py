@@ -230,6 +230,8 @@ def _run_sweep(args) -> int:
         per_prime=args.per_prime, policy=args.policy, seed=args.seed,
         require_precondition=args.require_precondition,
     )
+    # looked up on lab per call, so wrappers installed on the module
+    # (perfbench/tracing.py) also see CLI sweeps
     runners = {
         "theorem": (lab.sweep_theorem, lab.THEOREM_FIELDS),
         "collision": (lab.collision_stats, lab.COLLISION_FIELDS),

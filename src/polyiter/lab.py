@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__, curves, dynamics, graphs, recur
 from .dynamics import poly_map
 from .errors import BudgetError
-from .field import FieldParams, is_prime
+from .field import MAX_MODULUS, FieldParams, is_prime
 from .report import render_records
 
 GENERATOR_NAME = "mt19937-per-prime"
@@ -44,13 +45,16 @@ class SweepConfig:
     seed: int = 0
     require_precondition: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError("degree must be at least 2")
         if self.N < 0:
             raise ValueError("depth must be nonnegative")
         if self.p_min > self.p_max:
             raise ValueError("empty prime range")
+        if self.p_max >= MAX_MODULUS:
+            # refused before the prime search, which would trial-divide up to p_max
+            raise ValueError(f"p_max must be below {MAX_MODULUS}")
         if self.policy not in ("all", "random"):
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.policy == "random" and self.per_prime < 1:
@@ -62,80 +66,72 @@ def primes_with_degree(lo: int, hi: int, d: int) -> list[int]:
     return [p for p in range(max(lo, 2), hi + 1) if (p - 1) % d == 0 and is_prime(p)]
 
 
-def _instance_rng(seed: int, p: int) -> random.Random:
-    # per-prime stream so record sets are independent of the prime ordering
-    return random.Random((seed << 32) ^ p)
+def _sweep(
+    cfg: SweepConfig, per_prime: Callable[[int], Callable[[FieldParams], dict]]
+) -> tuple[list[dict], float]:
+    """The loop every sweep mode shares: records sorted on (p, A, C), and
+    the rejected share of the drawn pairs.
 
-
-def _instances(cfg: SweepConfig, p: int) -> tuple[list[FieldParams], int]:
-    """One map per admitted (A, C) pair for one prime, and the rejected draws.
-
-    Policy "all" walks every pair; "random" draws per_prime pairs from the
-    seeded per-prime stream.  With require_precondition, failing pairs are
-    rejected (and counted) rather than recorded.
+    per_prime(p) returns the mode's per-map function, which gives a record's
+    fields after p, d, A and C.  Policy "all" walks every pair; "random"
+    draws from the seeded per-prime stream until per_prime pairs are
+    admitted or 100 * per_prime pairs are drawn.  With require_precondition,
+    failing pairs are rejected (and counted) rather than recorded.
     """
-    maps: list[FieldParams] = []
-    rejected = 0
-    # validated once per prime; every pair has A in [1, p) and C in [0, p)
-    base = poly_map(p, cfg.d, 1, 0)
-
-    def admit(A: int, C: int) -> None:
-        nonlocal rejected
-        f = replace(base, A=A, C=C)
-        if cfg.require_precondition and not dynamics.check_precondition(f, cfg.N):
-            rejected += 1
+    records = []
+    drawn = rejected = 0
+    for p in primes_with_degree(cfg.p_min, cfg.p_max, cfg.d):
+        per_map = per_prime(p)
+        # validated once per prime; every pair has A in [1, p) and C in [0, p)
+        base = poly_map(p, cfg.d, 1, 0)
+        if cfg.policy == "all":
+            pairs = ((A, C) for A in range(1, p) for C in range(p))
         else:
-            maps.append(f)
-
-    if cfg.policy == "all":
-        for A in range(1, p):
-            for C in range(p):
-                admit(A, C)
-        return maps, rejected
-
-    rng = _instance_rng(cfg.seed, p)
-    attempts_cap = 100 * cfg.per_prime
-    attempts = 0
-    while len(maps) < cfg.per_prime and attempts < attempts_cap:
-        A = rng.randrange(1, p)
-        C = rng.randrange(p)
-        attempts += 1
-        admit(A, C)
-    return maps, rejected
+            # per-prime stream so record sets are independent of the prime ordering
+            rng = random.Random((cfg.seed << 32) ^ p)
+            pairs = ((rng.randrange(1, p), rng.randrange(p)) for _ in range(100 * cfg.per_prime))
+        admitted = 0
+        for A, C in pairs:
+            drawn += 1
+            f = replace(base, A=A, C=C)
+            if cfg.require_precondition and not dynamics.check_precondition(f, cfg.N):
+                rejected += 1
+                continue
+            records.append({"p": p, "d": cfg.d, "A": A, "C": C, **per_map(f)})
+            admitted += 1
+            if cfg.policy == "random" and admitted == cfg.per_prime:
+                break
+    records.sort(key=lambda rec: (rec["p"], rec["A"], rec["C"]))
+    return records, rejected / drawn if drawn else 0.0
 
 
 def sweep_theorem(cfg: SweepConfig) -> tuple[list[dict], dict]:
     """One record per (p, A, C): image size at depth N against mu_N * p."""
-    cfg.validate()
     mu_n = recur.mu_sequence(cfg.d, cfg.N)[cfg.N]
-    records = []
-    total_rejected = 0
-    total_drawn = 0
-    for p in primes_with_degree(cfg.p_min, cfg.p_max, cfg.d):
-        maps, rejected = _instances(cfg, p)
-        total_rejected += rejected
-        total_drawn += rejected + len(maps)
+
+    def per_prime(p: int):
         mu_p = float(mu_n * p)
-        for f in maps:
+
+        def per_map(f: FieldParams) -> dict:
             # maps were already filtered on the precondition when it is required
             held = cfg.require_precondition or dynamics.check_precondition(f, cfg.N)
             img = dynamics.image_size(f, cfg.N)
-            records.append({
-                "p": p, "d": cfg.d, "A": f.A, "C": f.C, "N": cfg.N,
+            return {
+                "N": cfg.N,
                 "image_size": img,
                 "mu_p": mu_p,
                 "norm_err": (img - mu_p) / math.sqrt(p),
                 "precondition": held,
-            })
-    records.sort(key=lambda rec: (rec["p"], rec["A"], rec["C"]))
+            }
+        return per_map
+
+    records, rejected_share = _sweep(cfg, per_prime)
     errs = [abs(rec["norm_err"]) for rec in records]
     summary = {
         "count": len(records),
         "mean_abs_norm_err": sum(errs) / len(errs) if errs else 0.0,
         "max_abs_norm_err": max(errs) if errs else 0.0,
-        "precondition_failure_fraction": (
-            total_rejected / total_drawn if total_drawn else 0.0
-        ),
+        "precondition_failure_fraction": rejected_share,
         # the literal error bound is astronomically loose at desk scale; it is
         # recorded for honesty, never asserted
         "literal_bound_form": "M * d**(d**(6*N)) * sqrt(p), M an absolute constant",
@@ -146,21 +142,20 @@ def sweep_theorem(cfg: SweepConfig) -> tuple[list[dict], dict]:
 
 def collision_stats(cfg: SweepConfig) -> tuple[list[dict], dict]:
     """Orbit-of-zero collision index per instance, scaled by log log p / p."""
-    cfg.validate()
-    records = []
-    for p in primes_with_degree(cfg.p_min, cfg.p_max, cfg.d):
-        maps, _ = _instances(cfg, p)
+    def per_prime(p: int):
         loglog = math.log(math.log(p))
-        for f in maps:
+
+        def per_map(f: FieldParams) -> dict:
             orbit = dynamics.orbit_of_zero(f)
-            records.append({
-                "p": p, "d": cfg.d, "A": f.A, "C": f.C,
+            return {
                 "tail_len": orbit.tail_len,
                 "cycle_len": orbit.cycle_len,
                 "collision_index": orbit.collision_index,
                 "ratio": orbit.collision_index * loglog / p,
-            })
-    records.sort(key=lambda rec: (rec["p"], rec["A"], rec["C"]))
+            }
+        return per_map
+
+    records, _ = _sweep(cfg, per_prime)
     ratios = sorted(rec["ratio"] for rec in records)
     summary = {"count": len(records)}
     if ratios:
@@ -181,21 +176,17 @@ def graph_sweep(cfg: SweepConfig) -> tuple[list[dict], dict]:
     flagged on every record and never asserted: small primes routinely fail
     the asymptotic bounds.
     """
-    cfg.validate()
-    records = []
-    for p in primes_with_degree(cfg.p_min, cfg.p_max, cfg.d):
-        maps, _ = _instances(cfg, p)
+    def per_prime(p: int):
         loglog = math.log(math.log(p))
         n0 = int(loglog / (7 * math.log(cfg.d))) + 1
         cycle_bound = 21 * p * math.log(cfg.d) / loglog
         precyclic_bound = 28 * p * math.log(cfg.d) / loglog
         v2_limit = (2 / (cfg.d - 1) + 1) * p / n0
-        for f in maps:
+
+        def per_map(f: FieldParams) -> dict:
             stats = dynamics.functional_graph_stats(f)
             image_n0 = dynamics.image_size(f, n0)
-            v2_ok = image_n0 < v2_limit
-            records.append({
-                "p": p, "d": cfg.d, "A": f.A, "C": f.C,
+            return {
                 "num_cycles": stats.num_cycles,
                 "sum_cycle_lengths": stats.sum_cycle_lengths,
                 "sum_precyclic_path_lengths": stats.sum_precyclic_path_lengths,
@@ -207,9 +198,11 @@ def graph_sweep(cfg: SweepConfig) -> tuple[list[dict], dict]:
                 "v2_limit": v2_limit,
                 "cycle_bound_ok": stats.sum_cycle_lengths <= cycle_bound,
                 "precyclic_bound_ok": stats.sum_precyclic_path_lengths <= precyclic_bound,
-                "v2_ok": v2_ok,
-            })
-    records.sort(key=lambda rec: (rec["p"], rec["A"], rec["C"]))
+                "v2_ok": image_n0 < v2_limit,
+            }
+        return per_map
+
+    records, _ = _sweep(cfg, per_prime)
     summary = {"count": len(records)}
     for flag in ("cycle_bound_ok", "precyclic_bound_ok", "v2_ok"):
         if records:

@@ -41,6 +41,10 @@ def render_records(records: list[dict], fieldnames: list[str], fmt: str,
 def write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        # an unwritable path is a configuration error, not a failed check
+        raise ValueError(f"cannot write {out!r}: {exc.strerror or exc}") from exc

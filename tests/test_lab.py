@@ -1,13 +1,16 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import polyiter
 from polyiter import cli, curves, dynamics, lab, recur
+from polyiter.dynamics import poly_map
 from polyiter.errors import BudgetError
+from polyiter.field import MAX_MODULUS
 from polyiter.report import render_records
 
 
@@ -79,6 +82,63 @@ def test_invalid_configs_rejected():
         lab.sweep_theorem(theorem_cfg(policy="bogus"))
     with pytest.raises(ValueError):
         lab.sweep_theorem(theorem_cfg(d=1))
+    # refused at construction, before the prime search walks up to p_max
+    with pytest.raises(ValueError, match="p_max"):
+        theorem_cfg(p_min=3, p_max=MAX_MODULUS)
+    assert theorem_cfg(p_min=MAX_MODULUS - 2, p_max=MAX_MODULUS - 1).p_max == MAX_MODULUS - 1
+
+
+def redraw(cfg):
+    """The random policy, redrawn by its own loop: the admitted (p, A, C)
+    keys in order and the rejected share of all draws."""
+    keys, drawn, rejected = [], 0, 0
+    for p in range(cfg.p_min, cfg.p_max + 1):
+        if (p - 1) % cfg.d or any(p % q == 0 for q in range(2, p)):
+            continue
+        rng = random.Random((cfg.seed << 32) ^ p)
+        admitted = attempts = 0
+        while admitted < cfg.per_prime and attempts < 100 * cfg.per_prime:
+            A = rng.randrange(1, p)
+            C = rng.randrange(p)
+            attempts += 1
+            if cfg.require_precondition and not dynamics.check_precondition(
+                    poly_map(p, cfg.d, A, C), cfg.N):
+                rejected += 1
+            else:
+                keys.append((p, A, C))
+                admitted += 1
+        drawn += attempts
+    return keys, rejected / drawn if drawn else 0.0
+
+
+DRAW_CASES = [
+    dict(d=2, N=4, p_min=5, p_max=29, per_prime=3, seed=1, require_precondition=True),
+    dict(d=3, N=2, p_min=7, p_max=200, per_prime=4, seed=9, require_precondition=True),
+    dict(d=4, N=3, p_min=5, p_max=300, per_prime=2, seed=3, require_precondition=False),
+    dict(d=2, N=3, p_min=1000, p_max=1300, per_prime=3, seed=5, require_precondition=True),
+]
+
+
+@pytest.mark.parametrize("case", DRAW_CASES, ids=lambda case: "d{d}-N{N}-seed{seed}".format(**case))
+def test_random_policy_matches_independent_draw(case):
+    cfg = lab.SweepConfig(policy="random", **case)
+    keys, share = redraw(cfg)
+    _, summary = lab.sweep_theorem(cfg)
+    assert summary["precondition_failure_fraction"] == share
+    for sweep in (lab.sweep_theorem, lab.collision_stats, lab.graph_sweep):
+        records, _ = sweep(cfg)
+        assert [(rec["p"], rec["A"], rec["C"]) for rec in records] == sorted(keys)
+
+
+def test_random_policy_draw_cap():
+    # p = 5 draws all 100 * per_prime pairs and admits none; every other
+    # prime in range fills its three
+    cfg = lab.SweepConfig(d=2, N=4, p_min=5, p_max=29, per_prime=3, seed=1,
+                          require_precondition=True)
+    records, summary = lab.sweep_theorem(cfg)
+    per_prime = {p: sum(rec["p"] == p for rec in records) for p in (5, 7, 11, 13, 17, 19, 23, 29)}
+    assert per_prime == {5: 0, 7: 3, 11: 3, 13: 3, 17: 3, 19: 3, 23: 3, 29: 3}
+    assert round(summary["precondition_failure_fraction"], 4) == 0.9382
 
 
 def test_collision_stats():
@@ -378,6 +438,14 @@ def test_cli_exit_codes():
     assert cli.main(["enum-graphs", "--d", "1", "--r", "0", "--k", "2"]) == 2
     assert cli.main(["enum-graphs", "--d", "2", "--r", "-3", "--k", "2"]) == 2
     assert cli.main(["enum-graphs", "--d", "2", "--r", "-3", "--k", "2", "--trees"]) == 2
+    # invalid configuration: a prime range past the modulus cap, refused before any search
+    assert cli.main(["sweep", "--mode", "theorem", "--d", "2", "--p-min", "3",
+                     "--p-max", "100000000000"]) == 2
+    # invalid configuration: an output path that cannot be written
+    assert cli.main(["orbit", "--p", "5", "--d", "2", "--A", "1", "--C", "1",
+                     "--out", "/nonexistent/x"]) == 2
+    assert cli.main(["sweep", "--d", "2", "--p-min", "5", "--p-max", "7",
+                     "--out", "/nonexistent/dir/x.csv"]) == 2
 
 
 def test_cli_verify_quick_writes_manifest(tmp_path, capsys):
