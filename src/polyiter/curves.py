@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _power_table, apply_map_to_domain, moment_w
+from .dynamics import _map_table, apply_map_to_domain, moment_w
 from .errors import BudgetError
 from .field import FieldParams
 from .graphs import IterGraph, enumerate_complete_proper
@@ -119,7 +119,7 @@ def _iterate_table(f: FieldParams, level: int, at_infinity: bool) -> np.ndarray:
         return apply_map_to_domain(f, level)
     p, d = f.p, f.d
     scale = pow(f.A, (d**level - 1) // (d - 1), p)
-    return scale * _power_table(p, (d**level - 1) % (p - 1) + 1) % p
+    return _map_table(p, (d**level - 1) % (p - 1) + 1, scale, 0)
 
 
 def _check_budget(p: int, k: int) -> None:

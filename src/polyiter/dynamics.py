@@ -87,64 +87,108 @@ def _mirror(table: np.ndarray, p: int, odd: bool, shift: int) -> None:
         high[:] = mirror
 
 
-# One entry: sweeps visit every instance of a prime in a row, and a p-length
-# table per slot must not pile up across primes.
+# Work arrays of the whole-domain kernels and the power table, kept across
+# calls and primes: a fresh (p-1)/2-length array faults in new pages at every
+# prime.  Each grows with 1/64 slack, since a sweep's primes ascend and an
+# exact fit would reallocate at every prime.  A public function reads them
+# before it returns and hands out counts and fresh arrays, never a view of one.
+_WORK: dict[str, np.ndarray] = {}
+
+
+def _work(name: str, n: int, dtype: type = np.int64) -> np.ndarray:
+    """The first n entries of the work array name; their values are stale."""
+    buf = _WORK.get(name)
+    if buf is None or len(buf) < n:
+        buf = _WORK[name] = np.empty(n + n // 64, dtype=dtype)
+    return buf[:n]
+
+
+def _arange(n: int) -> np.ndarray:
+    """0, 1, ..., n - 1, read-only: a prefix of one arange kept across calls."""
+    base = _WORK.get("arange")
+    if base is None or len(base) < n:
+        base = _WORK["arange"] = np.arange(n + n // 64, dtype=np.int64)
+        base.setflags(write=False)
+    return base[:n]
+
+
+# One entry, held in a work array: sweeps visit every map of a prime in a row,
+# so the powers are computed once per (p, e), and no p-length table is kept.
 @lru_cache(maxsize=1)
 def _power_table(p: int, e: int) -> np.ndarray:
-    """x -> x**e mod p for all residues, for e >= 1: left-to-right
-    square-and-multiply in place on x <= p//2, and the rest mirrored from
-    (p - x)**e = (-1)**e * x**e."""
-    half = p // 2 + 1
-    base = np.arange(half, dtype=np.int64)
-    result = np.empty(p, dtype=np.int64)
-    low = result[:half]
-    low[:] = base
+    """x -> x**e mod p for x <= p//2, for e >= 1, read-only and valid until
+    the next call with another (p, e): left-to-right square-and-multiply in
+    place on the reused arange.  The rest follows from (p - x)**e =
+    (-1)**e * x**e; callers that need it mirror."""
+    base = _arange(p // 2 + 1)
+    low = _work("power", len(base))
+    if e == 1:
+        low[:] = base
+    acc = base  # the first squaring reads the arange, so no copy of it is made
     for bit in bin(e)[3:]:
-        np.multiply(low, low, out=low)
+        np.multiply(acc, acc, out=low)
         np.remainder(low, p, out=low)
         if bit == "1":
             np.multiply(low, base, out=low)
             np.remainder(low, p, out=low)
-    _mirror(result, p, e % 2 == 1, 0)
-    result.setflags(write=False)
-    return result
+        acc = low
+    low.setflags(write=False)
+    return low
 
 
-def step_table(f: FieldParams) -> np.ndarray:
-    """x -> f(x) for every residue: computed in place on x <= p//2 and
-    mirrored from f(p - x) = f(x) for even d, 2C - f(x) for odd d."""
-    p = f.p
-    half = p // 2 + 1
+def _map_table(p: int, e: int, A: int, C: int) -> np.ndarray:
+    """x -> (A*x**e + C) mod p for every residue, read-only: computed on
+    x <= p//2 from the power table and mirrored from the value at p - x, the
+    same for even e and 2C minus it for odd e."""
     table = np.empty(p, dtype=np.int64)
-    low = table[:half]
-    np.multiply(_power_table(p, f.d)[:half], f.A, out=low)
-    low += f.C
+    low = table[: p // 2 + 1]
+    np.multiply(_power_table(p, e), A, out=low)
+    low += C
     low %= p
-    _mirror(table, p, f.d % 2 == 1, 2 * f.C)
+    _mirror(table, p, e % 2 == 1, 2 * C)
     table.setflags(write=False)
     return table
 
 
-def _iterate(table: np.ndarray, n: int) -> np.ndarray:
-    """table composed with itself n >= 0 more times.  With n compositions
-    left, each step takes the schedule with fewer gathers of a table: n
-    direct gathers, or binary powering at n.bit_length() - 1 squarings plus
-    popcount(n) gathers."""
+def step_table(f: FieldParams) -> np.ndarray:
+    """x -> f(x) for every residue."""
+    return _map_table(f.p, f.d, f.A, f.C)
+
+
+def _spares(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two int64 work arrays that _iterate and _decompose write into."""
+    return _work("spare0", n), _work("spare1", n)
+
+
+def _iterate(
+    table: np.ndarray, n: int, work: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    """table composed with itself n >= 0 more times, f**k for k = n + 1:
+    n direct gathers of table, or left-to-right binary powering of k at
+    k.bit_length() - 1 squarings plus popcount(k) - 1 gathers, whichever is
+    fewer.  Every pass writes into two arrays of table's length and apart
+    from it, work or else the spare work arrays: a gather of table in place
+    (take's output may be its index array), a squaring into the other one.
+    table is only read; the result is table (n = 0) or one of the two."""
+    if n == 0:
+        return table
+    k = n + 1
+    a, b = work or _spares(len(table))
     arr = table
-    while n > 1 and n > (n.bit_length() - 1) + n.bit_count():
-        if n & 1:
-            arr = table[arr]
-        n >>= 1
-        table = table[table]
-    for _ in range(n):
-        arr = table[arr]
+    if n <= k.bit_length() + k.bit_count() - 2:
+        for _ in range(n):
+            arr = table.take(arr, out=a, mode="clip")
+        return arr
+    for bit in bin(k)[3:]:
+        arr = arr.take(arr, out=b if arr is a else a, mode="clip")
+        if bit == "1":
+            table.take(arr, out=arr, mode="clip")
     return arr
 
 
 def apply_map_to_domain(f: FieldParams, N: int) -> np.ndarray:
-    """Array of f^N(x) for all x.  With N = 2**t * m, m odd, the step table
-    f is squared t times and _iterate composes that table with itself the
-    other m - 1 times, so no pass is a copy of the identity."""
+    """Array of f^N(x) for all x, a fresh writable array: the step table
+    composed with itself N - 1 times by _iterate, into two new arrays."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
     if N == 0:
@@ -152,10 +196,7 @@ def apply_map_to_domain(f: FieldParams, N: int) -> np.ndarray:
     table = step_table(f)
     if N == 1:
         return table.copy()
-    while not N & 1:
-        table = table[table]
-        N >>= 1
-    return _iterate(table, N - 1)
+    return _iterate(table, N - 1, (np.empty_like(table), np.empty_like(table)))
 
 
 def _image_mask(table: np.ndarray, even: bool) -> np.ndarray:
@@ -178,26 +219,27 @@ def _image_graph(table: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, Cal
     return hit, rank[table[image]], lambda y: rank[table[y]]
 
 
-def _square_values(f: FieldParams) -> np.ndarray:
-    """x**2 + c - p for x <= p//2, with c = A*C mod p, from the cached squares:
-    each lies in [-p, p - 1) and is congruent to x**2 + c, the value at x of
-    the normal form x**2 + c of a degree-2 map."""
+def _square_graph(f: FieldParams, hit: np.ndarray | None = None) -> np.ndarray:
+    """g(x) = fold(x**2 + c) for x <= p//2, c = A*C mod p, in the work array
+    "graph": x**2 + c - p, one addition to the squares, lies in [-p, p - 1)
+    and is congruent to x**2 + c, the value at x of the normal form x**2 + c
+    of a degree-2 map, and fold takes it in place to that value's label (see
+    _induced_graph).  With hit, a mask over F_p, the values are first marked
+    on it; numpy reads an index i < 0 as p + i."""
     p = f.p
-    return _power_table(p, 2)[: p // 2 + 1] + (f.A * f.C % p - p)
+    squares = _power_table(p, 2)
+    g = np.add(squares, f.A * f.C % p - p, out=_work("graph", len(squares)))
+    if hit is not None:
+        hit[g] = True
+    return _fold(g, p, _work("spare0", len(g)))
 
 
-def _square_mask(f: FieldParams) -> np.ndarray:
-    """Hit mask of the image {(x**2 + c) mod p} of the normal form at d = 2."""
-    hit = np.zeros(f.p, dtype=bool)
-    hit[_square_values(f)] = True  # numpy reads an index i < 0 as p + i
-    return hit
-
-
-def _fold(y: np.ndarray, p: int) -> np.ndarray:
+def _fold(y: np.ndarray, p: int, tmp: np.ndarray) -> np.ndarray:
     """min(r, p - r) for r = y mod p, in place, for y in [-p, p]: the distance
-    from y to the nearest multiple of p."""
+    from y to the nearest multiple of p.  tmp, of y's length, is overwritten."""
     np.abs(y, out=y)
-    np.minimum(y, p - y, out=y)
+    np.subtract(p, y, out=tmp)
+    np.minimum(y, tmp, out=y)
     return y
 
 
@@ -210,11 +252,11 @@ def _induced_graph(f: FieldParams) -> tuple[np.ndarray, int]:
     preimage counts and the cycles and tails of f onto the normal form's, so
     every quantity read from g is the same.  The normal form is even and
     one-to-one on x <= p//2, so label x stands for x**2 + A*C, f(0) has
-    label 0 and g(x) = fold(x**2 + A*C): one addition to the cached squares
-    and a fold, with no step table.  Any other d labels S_1 through
-    _image_graph on the step table."""
+    label 0 and g(x) = fold(x**2 + A*C): one addition to the squares and a
+    fold, with no step table (_square_graph).  Any other d labels S_1
+    through _image_graph on the step table, into a fresh g."""
     if f.d == 2:
-        return _fold(_square_values(f), f.p), 0
+        return _square_graph(f), 0
     _, g, label = _image_graph(step_table(f), f.d)
     return g, int(label(0))
 
@@ -222,8 +264,15 @@ def _induced_graph(f: FieldParams) -> tuple[np.ndarray, int]:
 # One entry, like _power_table: every map of a prime's sweep shares it.
 @lru_cache(maxsize=1)
 def _power_image_size(p: int, d: int) -> int:
-    """#{x**d : x in F_p}, counted on the hit mask of the cached power table."""
-    return int(np.count_nonzero(_image_mask(_power_table(p, d), d % 2 == 0)))
+    """#{x**d : x in F_p}, counted on a mask of the power table: x**d for
+    x <= p//2, and at odd d also -x**d, the power of p - x."""
+    powers = _power_table(p, d)
+    hit = _work("mask", p, bool)
+    hit.fill(False)
+    hit[powers] = True
+    if d % 2:
+        hit[np.negative(powers)] = True  # numpy reads an index i < 0 as p + i
+    return int(np.count_nonzero(hit))
 
 
 def image_size(f: FieldParams, N: int) -> int:
@@ -238,8 +287,10 @@ def image_size(f: FieldParams, N: int) -> int:
     if N == 1:
         return _power_image_size(f.p, f.d)
     g, _ = _induced_graph(f)
-    hit = np.zeros(len(g), dtype=bool)
-    hit[_iterate(g, N - 2)] = True
+    values = _iterate(g, N - 2)
+    hit = _work("mask", len(g), bool)
+    hit.fill(False)
+    hit[values] = True
     return int(np.count_nonzero(hit))
 
 
@@ -261,11 +312,12 @@ def _profile(f: FieldParams, N: int) -> np.ndarray:
     if N < 1:
         profile = np.bincount(preimage_distribution(f, N).counts)
     else:
-        values, c = np.arange((f.p - 1) // f.d + 1), 0  # g^0: any label for C
+        values, c = _arange((f.p - 1) // f.d + 1), 0  # g^0: any label for C
         if N > 1:
             g, c = _induced_graph(f)
             values = _iterate(g, N - 2)
-        counts = np.bincount(values, minlength=len(values)) * f.d
+        counts = np.bincount(values, minlength=len(values))
+        counts *= f.d
         counts[values[c]] -= f.d - 1
         profile = np.bincount(counts)
         profile[0] += f.p - len(values)
@@ -382,23 +434,31 @@ def _decompose(table: np.ndarray) -> tuple[np.ndarray, int, int]:
     reaches the longest tail.  On the cyclic set relabelled 0..m-1, f is a
     permutation, and the least label over 2**m.bit_length() > m steps ahead is
     its own label at exactly one vertex per cycle.
+
+    The doubling rounds alternate between the two spare work arrays and,
+    once it is no longer read, the table's own storage, which is overwritten.
+    The distances are returned in the first spare.
     """
     n = len(table)
+    spare0, spare1 = _spares(n)
     hop = table
     for _ in range(n.bit_length()):
-        hop = hop[hop]
-    cyclic = np.zeros(n, dtype=bool)
+        hop = hop.take(hop, out=spare1 if hop is spare0 else spare0, mode="clip")
+    cyclic = _work("cyclic", n, bool)
+    cyclic.fill(False)
     cyclic[hop] = True
-    dist = (~cyclic).astype(np.int64)
-    hop = table
-    while (ahead := dist[hop]).any():
-        dist += ahead
-        hop = hop[hop]
     cyc = np.flatnonzero(cyclic)
+    succ = table[cyc]
+    dist = np.logical_not(cyclic, out=spare0)
+    hop, ahead = table, spare1
+    while dist.take(hop, out=ahead, mode="clip").any():
+        dist += ahead
+        hop.take(hop, out=ahead, mode="clip")
+        hop, ahead = ahead, hop
     m = len(cyc)
-    rank = np.empty(n, dtype=np.int64)
+    rank = ahead  # only its entries on cyc are written and read
     rank[cyc] = np.arange(m)
-    hop = rank[table[cyc]]
+    hop = rank[succ]
     low = np.arange(m)
     for _ in range(m.bit_length()):
         low = np.minimum(low, low[hop])
@@ -409,12 +469,14 @@ def _decompose(table: np.ndarray) -> tuple[np.ndarray, int, int]:
 def _graph_stats(hit: np.ndarray, g: np.ndarray, label: Callable) -> GraphStats:
     """Statistics of a functional graph from the mask hit of its image S_1,
     the graph g it induces on S_1 and label(y), the label in g of the
-    successor of y.  S_1 holds every cycle and every vertex with a
-    predecessor, so the doubling runs on g alone, and the in-degree-0
+    successor of y, a fresh array.  S_1 holds every cycle and every vertex
+    with a predecessor, so the doubling runs on g alone, and the in-degree-0
     vertices are exactly the complement of S_1: each one's tail is one step
-    more than the distance of its successor."""
+    more than the distance of its successor.  hit and g are overwritten."""
     dist, num_cycles, cyclic_count = _decompose(g)
-    tails = 1 + dist[label(np.flatnonzero(~hit))]
+    tails = label(np.flatnonzero(np.logical_not(hit, out=hit)))
+    dist.take(tails, out=tails, mode="clip")
+    tails += 1
     return GraphStats(
         num_cycles=num_cycles,
         sum_cycle_lengths=cyclic_count,
@@ -433,9 +495,14 @@ def _stats_from_table(table: np.ndarray, d: int = 1) -> GraphStats:
 
 def functional_graph_stats(f: FieldParams) -> GraphStats:
     """At d = 2 on the normal form x**2 + c (see _induced_graph): its image
-    is {(x**2 + c) mod p}, and the successor y**2 + c of any y has the label
+    is {(x**2 + c) mod p}, marked from the unfolded values as _square_graph
+    folds them into g, and the successor y**2 + c of any y has the label
     fold(y)."""
     if f.d != 2:
         return _stats_from_table(step_table(f), f.d)
-    g, _ = _induced_graph(f)
-    return _graph_stats(_square_mask(f), g, lambda y: _fold(y, f.p))
+    p = f.p
+    hit = _work("mask", p, bool)
+    hit.fill(False)
+    g = _square_graph(f, hit)
+    # the labels' fold borrows spare1: _decompose leaves the distances in spare0
+    return _graph_stats(hit, g, lambda y: _fold(y, p, _work("spare1", len(y))))

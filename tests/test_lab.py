@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,13 @@ def test_invalid_configs_rejected():
     with pytest.raises(ValueError, match="p_max"):
         theorem_cfg(p_min=3, p_max=MAX_MODULUS)
     assert theorem_cfg(p_min=MAX_MODULUS - 2, p_max=MAX_MODULUS - 1).p_max == MAX_MODULUS - 1
+    # the prime search's trial-division bound at its cap is admitted, one more
+    # number is refused as a budget
+    top = MAX_MODULUS - 1
+    widest = lab.PRIME_SEARCH_CAP // math.isqrt(top)
+    assert theorem_cfg(p_min=top - widest + 1, p_max=top).p_min == top - widest + 1
+    with pytest.raises(BudgetError, match="prime search"):
+        theorem_cfg(p_min=top - widest, p_max=top)
 
 
 def redraw(cfg):
@@ -441,6 +449,10 @@ def test_cli_exit_codes():
     # invalid configuration: a prime range past the modulus cap, refused before any search
     assert cli.main(["sweep", "--mode", "theorem", "--d", "2", "--p-min", "3",
                      "--p-max", "100000000000"]) == 2
+    # budget exceeded: a prime range that would trial-divide for hours, refused at once
+    start = time.perf_counter()
+    assert cli.main(["sweep", "--d", "2", "--p-min", "3", "--p-max", "2147483647"]) == 3
+    assert time.perf_counter() - start < 1
     # invalid configuration: an output path that cannot be written
     assert cli.main(["orbit", "--p", "5", "--d", "2", "--A", "1", "--C", "1",
                      "--out", "/nonexistent/x"]) == 2
