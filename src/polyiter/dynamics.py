@@ -82,7 +82,7 @@ def _mirror(table: np.ndarray, p: int, odd: bool, shift: int) -> None:
     mirror = table[p - half:0:-1]  # table[p - x] for x = half..p-1
     if odd:
         np.subtract(shift, mirror, out=high)
-        np.remainder(high, p, out=high)
+        _reduce(high, p, _block(len(high)))
     else:
         high[:] = mirror
 
@@ -103,6 +103,34 @@ def _work(name: str, n: int, dtype: type = np.int64) -> np.ndarray:
     return buf[:n]
 
 
+# Entries per pass of the blocked elementwise loops: 256 KB of int64, so a
+# block and the arrays it is read from stay in a core's L2 between passes,
+# where a whole-array pass at p ~ 10**6 streams 4 MB through the cache.
+_BLOCK = 2**15
+
+
+def _block(n: int) -> np.ndarray:
+    """The block-sized int64 scratch, min(n, _BLOCK) entries: the quotients
+    of _reduce and the fold's spare in _square_graph.  It is the head of the
+    spare work array spare1, which holds nothing while a table or the d = 2
+    graph is built, and which the whole-domain kernels touch in full anyway:
+    its own buffer would add 256 KB to the peak RSS at p ~ 10**6."""
+    return _work("spare1", min(n, _BLOCK))
+
+
+def _reduce(y: np.ndarray, p: int, q: np.ndarray) -> np.ndarray:
+    """y mod p in place, as y - p * (y // p), a block at a time with the
+    quotients in q, of at least min(len(y), _BLOCK) entries.  Exact for every
+    int64 y, negative ones too: floor division rounds toward -inf, so the
+    result lies in [0, p)."""
+    for start in range(0, len(y), _BLOCK):
+        block = y[start : start + _BLOCK]
+        quot = np.floor_divide(block, p, out=q[: len(block)])
+        quot *= p
+        block -= quot
+    return y
+
+
 def _arange(n: int) -> np.ndarray:
     """0, 1, ..., n - 1, read-only: a prefix of one arange kept across calls."""
     base = _WORK.get("arange")
@@ -118,22 +146,24 @@ def _arange(n: int) -> np.ndarray:
 def _power_table(p: int, e: int) -> np.ndarray:
     """x -> x**e mod p for x <= p//2, for e >= 1, read-only and valid until
     the next call with another (p, e): left-to-right square-and-multiply in
-    place on the reused arange.  The rest follows from (p - x)**e =
+    place on the reused arange, every product below p**2 < 2**62, one block
+    at a time through all the steps.  The rest follows from (p - x)**e =
     (-1)**e * x**e; callers that need it mirror."""
-    base = _arange(p // 2 + 1)
-    low = _work("power", len(base))
-    if e == 1:
-        low[:] = base
-    acc = base  # the first squaring reads the arange, so no copy of it is made
-    for bit in bin(e)[3:]:
-        np.multiply(acc, acc, out=low)
-        np.remainder(low, p, out=low)
-        if bit == "1":
-            np.multiply(low, base, out=low)
-            np.remainder(low, p, out=low)
-        acc = low
-    low.setflags(write=False)
-    return low
+    n = p // 2 + 1
+    arange, power, q = _arange(n), _work("power", n), _block(n)
+    for start in range(0, n, _BLOCK):
+        base = arange[start : start + _BLOCK]
+        low = power[start : start + _BLOCK]
+        if e == 1:
+            low[:] = base
+        acc = base  # the first squaring reads the arange, so no copy of it is made
+        for bit in bin(e)[3:]:
+            _reduce(np.multiply(acc, acc, out=low), p, q)
+            if bit == "1":
+                _reduce(np.multiply(low, base, out=low), p, q)
+            acc = low
+    power.setflags(write=False)
+    return power
 
 
 def _map_table(p: int, e: int, A: int, C: int) -> np.ndarray:
@@ -144,7 +174,7 @@ def _map_table(p: int, e: int, A: int, C: int) -> np.ndarray:
     low = table[: p // 2 + 1]
     np.multiply(_power_table(p, e), A, out=low)
     low += C
-    low %= p
+    _reduce(low, p, _block(len(low)))
     _mirror(table, p, e % 2 == 1, 2 * C)
     table.setflags(write=False)
     return table
@@ -225,13 +255,18 @@ def _square_graph(f: FieldParams, hit: np.ndarray | None = None) -> np.ndarray:
     and is congruent to x**2 + c, the value at x of the normal form x**2 + c
     of a degree-2 map, and fold takes it in place to that value's label (see
     _induced_graph).  With hit, a mask over F_p, the values are first marked
-    on it; numpy reads an index i < 0 as p + i."""
+    on it; numpy reads an index i < 0 as p + i.  The addition, the marking
+    and the fold run one block at a time."""
     p = f.p
     squares = _power_table(p, 2)
-    g = np.add(squares, f.A * f.C % p - p, out=_work("graph", len(squares)))
-    if hit is not None:
-        hit[g] = True
-    return _fold(g, p, _work("spare0", len(g)))
+    n = len(squares)
+    g, tmp, shift = _work("graph", n), _block(n), f.A * f.C % p - p
+    for start in range(0, n, _BLOCK):
+        block = np.add(squares[start : start + _BLOCK], shift, out=g[start : start + _BLOCK])
+        if hit is not None:
+            hit[block] = True
+        _fold(block, p, tmp[: len(block)])
+    return g
 
 
 def _fold(y: np.ndarray, p: int, tmp: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -106,7 +106,7 @@ def _sweep(
         admitted = 0
         for A, C in pairs:
             drawn += 1
-            f = replace(base, A=A, C=C)
+            f = FieldParams(p, cfg.d, A, C, base.gamma)
             if cfg.require_precondition and not dynamics.check_precondition(f, cfg.N):
                 rejected += 1
                 continue

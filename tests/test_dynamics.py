@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from polyiter import curves, dynamics
 from polyiter.dynamics import poly_map
 from polyiter.errors import BudgetError
+from polyiter.field import is_prime
 
 from oracles import eval_map
 
@@ -154,6 +155,68 @@ def test_degree_two_kernels_against_full_domain_at_larger_p(A, C):
         counts = np.bincount(dynamics.apply_map_to_domain(f, N), minlength=p)
         assert dynamics.image_size(f, N) == np.count_nonzero(counts)
         assert dynamics.moment_w(f, N, 2) == int(counts @ counts)
+
+
+# the half length p//2 + 1 of each modulus against the 2**15-entry blocks:
+# 32761 (one block), 32769 (one entry over), 65536 (exactly two), and 88574
+# for 3**11, a composite modulus on which x**e is 0 at multiples of 3**4
+@pytest.mark.parametrize("p", [65521, 65537, 131071, 3**11])
+def test_power_and_map_tables_at_the_block_seams(p):
+    seams = range(0, p // 2 + 1, 2**15)
+    points = sorted({x for s in seams for x in range(s - 2, s + 3) if 0 <= x <= p // 2}
+                    | {p // 2 - 1, p // 2})
+    A, C = 12345 % p, 678
+    for e in (2, 3, 5):
+        half = dynamics._power_table(p, e)
+        assert len(half) == p // 2 + 1
+        assert [int(half[x]) for x in points] == [pow(x, e, p) for x in points], e
+        table = dynamics._map_table(p, e, A, C)
+        for x in points + [p - x for x in points if x]:
+            assert int(table[x]) == (A * pow(x, e, p) + C) % p, (e, x)
+
+
+def block_seam_checks(p):
+    f = poly_map(p, 2, 12345, 678)
+    x = np.arange(p // 2 + 1, dtype=np.int64)
+    values = (x * x + f.A * f.C) % p
+    assert dynamics._induced_graph(f)[0].tolist() == np.minimum(values, p - values).tolist()
+    for N in (2, 3, 5):
+        counts = np.bincount(dynamics.apply_map_to_domain(f, N), minlength=p)
+        assert dynamics.image_size(f, N) == np.count_nonzero(counts), N
+    assert dynamics.functional_graph_stats(f) == dynamics._stats_from_table(dynamics.step_table(f))
+
+
+@pytest.mark.parametrize("p", [65537, 131071])
+def test_degree_two_kernels_at_the_block_seams(p):
+    # the blocked add, mark and fold of the normal-form graph against plain
+    # numpy, and the kernels on it against the full-domain paths
+    block_seam_checks(p)
+
+
+def test_block_scratch_sized_by_a_small_prime_then_grown():
+    # from empty work arrays the block scratch is first sized by p = 1009,
+    # then grown to a full block, then read at a small and a seam prime
+    dynamics._WORK.clear()
+    dynamics._power_table.cache_clear()
+    for p in (1009, 131071, 1009, 65537):
+        block_seam_checks(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=2, max_value=2**31 - 1), data=st.data())
+@example(n=2**31 - 1, data=None)
+def test_reduce_matches_python_mod(n, data):
+    # primes up to 2**31 - 1 and inputs from [-p, p**2): the negative range
+    # of the odd mirror and products near 2**62 at p near 2**31
+    p = n
+    while not is_prime(p):
+        p -= 1
+    ends = [-p, -p + 1, -1, 0, 1, p - 1, p, p * p - p, p * p - 1]
+    drawn = [] if data is None else data.draw(
+        st.lists(st.integers(min_value=-p, max_value=p * p - 1), max_size=32))
+    y = np.array(ends + drawn, dtype=np.int64)
+    q = np.empty(len(y), dtype=np.int64)
+    assert dynamics._reduce(y, p, q).tolist() == [v % p for v in ends + drawn]
 
 
 def iterate_oracle(table, n):
