@@ -115,31 +115,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _single_record(record: dict, fmt: str, out: str | None) -> None:
-    fields = list(record)
-    write_output(render_records([record], fields, fmt), out)
+def _emit(records: list[dict], args) -> None:
+    write_output(render_records(records, list(records[0]), args.format), args.out)
 
 
 def _run_orbit(args) -> int:
     f = poly_map(args.p, args.d, args.A, args.C)
     orbit = dynamics.orbit_of_zero(f)
-    _single_record({
+    _emit([{
         "p": args.p, "d": args.d, "A": args.A, "C": args.C,
         "tail_len": orbit.tail_len, "cycle_len": orbit.cycle_len,
         "collision_index": orbit.collision_index,
-    }, args.format, args.out)
+    }], args)
     return EXIT_OK
 
 
 def _run_image(args) -> int:
     f = poly_map(args.p, args.d, args.A, args.C)
     dist = dynamics.preimage_distribution(f, args.N)
-    _single_record({
+    _emit([{
         "p": args.p, "d": args.d, "A": args.A, "C": args.C, "N": args.N,
         "image_size": dynamics.image_size(f, args.N),
         "zero_preimages": dist.zero_count(),
         "precondition": dynamics.check_precondition(f, args.N),
-    }, args.format, args.out)
+    }], args)
     return EXIT_OK
 
 
@@ -152,25 +151,24 @@ def _run_moments(args) -> int:
          "k": k, "w": dynamics.moment_w(f, args.N, k)}
         for k in range(args.k + 1)
     ]
-    write_output(render_records(records, list(records[0]), args.format), args.out)
+    _emit(records, args)
     return EXIT_OK
 
 
 def _run_mu(args) -> int:
     mus = recur.mu_sequence(args.d, args.r)
     records = [
-        {"d": args.d, "r": r, "mu": f"{mus[r].numerator}/{mus[r].denominator}",
-         "mu_decimal": float(mus[r])}
+        {"d": args.d, "r": r, "mu": mus[r], "mu_decimal": float(mus[r])}
         for r in range(args.r + 1)
     ]
-    write_output(render_records(records, list(records[0]), args.format), args.out)
+    _emit(records, args)
     return EXIT_OK
 
 
 def _run_ucount(args) -> int:
     record = {"d": args.d, "r": args.r, "k": args.k,
               "u": recur.u_value(args.d, args.r, args.k)}
-    _single_record(record, args.format, args.out)
+    _emit([record], args)
     return EXIT_OK
 
 
@@ -204,7 +202,7 @@ def _run_curves(args) -> int:
             "affine": pts.affine_count, "infinity": pts.infinity_count,
             "total": pts.total, "weil_dev": weil.deviation,
         })
-    write_output(render_records(records, list(records[0]), args.format), args.out)
+    _emit(records, args)
     return EXIT_OK
 
 
@@ -220,7 +218,7 @@ def _run_decomp(args) -> int:
         "union_equals_cr": report.union_equals_cr,
         "affine_equals_w": report.affine_equals_w,
     }
-    _single_record(record, args.format, args.out)
+    _emit([record], args)
     return EXIT_OK if report.union_equals_cr and report.affine_equals_w else EXIT_CHECK_FAILED
 
 

@@ -8,7 +8,6 @@ are numpy arrays of int64; with p < 2**31 every intermediate product fits.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -185,11 +184,6 @@ def step_table(f: FieldParams) -> np.ndarray:
     return _map_table(f.p, f.d, f.A, f.C)
 
 
-def _spares(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two int64 work arrays that _iterate and _decompose write into."""
-    return _work("spare0", n), _work("spare1", n)
-
-
 def _iterate(
     table: np.ndarray, n: int, work: tuple[np.ndarray, np.ndarray] | None = None
 ) -> np.ndarray:
@@ -203,7 +197,7 @@ def _iterate(
     if n == 0:
         return table
     k = n + 1
-    a, b = work or _spares(len(table))
+    a, b = work or (_work("spare0", len(table)), _work("spare1", len(table)))
     arr = table
     if n <= k.bit_length() + k.bit_count() - 2:
         for _ in range(n):
@@ -229,53 +223,36 @@ def apply_map_to_domain(f: FieldParams, N: int) -> np.ndarray:
     return _iterate(table, N - 1, (np.empty_like(table), np.empty_like(table)))
 
 
-def _image_mask(table: np.ndarray, even: bool) -> np.ndarray:
-    """Hit mask of the table's values S_1.  An even map (table[p - x] ==
+def _image_graph(table: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(image, g) for the successor table of a degree-d map (d = 1 assumes
+    nothing of the table): its image S_1 in ascending order, read off a hit
+    mask, and the graph g the table induces on S_1, labelled 0..m1-1 by
+    position in image through a rank array.  An even map (table[p - x] ==
     table[x]) takes every value on x <= p//2, so only that half is marked."""
     hit = np.zeros(len(table), dtype=bool)
-    hit[table[: len(table) // 2 + 1] if even else table] = True
-    return hit
-
-
-def _image_graph(table: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, Callable]:
-    """(hit, g, label) for the successor table of a degree-d map (d = 1
-    assumes nothing of the table): the mask of its image S_1, the graph g the
-    table induces on S_1, labelled 0..m1-1 in ascending order through a rank
-    array over hit, and label(y), the label of table[y]."""
-    hit = _image_mask(table, d % 2 == 0)
+    hit[table[: len(table) // 2 + 1] if d % 2 == 0 else table] = True
     image = np.flatnonzero(hit)
     rank = np.empty(len(table), dtype=np.int64)
     rank[image] = np.arange(len(image))
-    return hit, rank[table[image]], lambda y: rank[table[y]]
+    return image, rank[table[image]]
 
 
-def _square_graph(f: FieldParams, hit: np.ndarray | None = None) -> np.ndarray:
+def _square_graph(f: FieldParams) -> np.ndarray:
     """g(x) = fold(x**2 + c) for x <= p//2, c = A*C mod p, in the work array
     "graph": x**2 + c - p, one addition to the squares, lies in [-p, p - 1)
     and is congruent to x**2 + c, the value at x of the normal form x**2 + c
     of a degree-2 map, and fold takes it in place to that value's label (see
-    _induced_graph).  With hit, a mask over F_p, the values are first marked
-    on it; numpy reads an index i < 0 as p + i.  The addition, the marking
-    and the fold run one block at a time."""
+    _induced_graph), min(r, p - r) for its residue r.  The addition and the
+    fold run one block at a time."""
     p = f.p
     squares = _power_table(p, 2)
     n = len(squares)
     g, tmp, shift = _work("graph", n), _block(n), f.A * f.C % p - p
     for start in range(0, n, _BLOCK):
         block = np.add(squares[start : start + _BLOCK], shift, out=g[start : start + _BLOCK])
-        if hit is not None:
-            hit[block] = True
-        _fold(block, p, tmp[: len(block)])
+        np.abs(block, out=block)
+        np.minimum(block, np.subtract(p, block, out=tmp[: len(block)]), out=block)
     return g
-
-
-def _fold(y: np.ndarray, p: int, tmp: np.ndarray) -> np.ndarray:
-    """min(r, p - r) for r = y mod p, in place, for y in [-p, p]: the distance
-    from y to the nearest multiple of p.  tmp, of y's length, is overwritten."""
-    np.abs(y, out=y)
-    np.subtract(p, y, out=tmp)
-    np.minimum(y, tmp, out=y)
-    return y
 
 
 def _induced_graph(f: FieldParams) -> tuple[np.ndarray, int]:
@@ -288,12 +265,12 @@ def _induced_graph(f: FieldParams) -> tuple[np.ndarray, int]:
     every quantity read from g is the same.  The normal form is even and
     one-to-one on x <= p//2, so label x stands for x**2 + A*C, f(0) has
     label 0 and g(x) = fold(x**2 + A*C): one addition to the squares and a
-    fold, with no step table (_square_graph).  Any other d labels S_1
-    through _image_graph on the step table, into a fresh g."""
+    fold, with no step table (_square_graph).  Any other d labels S_1 in
+    ascending order through _image_graph on the step table, into a fresh g."""
     if f.d == 2:
         return _square_graph(f), 0
-    _, g, label = _image_graph(step_table(f), f.d)
-    return g, int(label(0))
+    image, g = _image_graph(step_table(f), f.d)
+    return g, int(np.searchsorted(image, f.C))
 
 
 # One entry, like _power_table: every map of a prime's sweep shares it.
@@ -343,9 +320,11 @@ def _profile(f: FieldParams, N: int) -> np.ndarray:
     """n_j = #{m : rho_N(m) = j}, read-only.  As d | p - 1, each y != C in
     S_1 = f(F_p) has d preimages and C has one, so for N >= 1 rho_N is 0 off
     S_1 and on it d times the histogram of g^(N-1), less d - 1 at
-    g^(N-1)(C), with g the graph f induces on S_1."""
-    if N < 1:
-        profile = np.bincount(preimage_distribution(f, N).counts)
+    g^(N-1)(C), with g the graph f induces on S_1.  rho_0 is 1 everywhere."""
+    if N < 0:
+        raise ValueError("depth must be nonnegative")
+    if N == 0:
+        profile = np.array([0, f.p])
     else:
         values, c = _arange((f.p - 1) // f.d + 1), 0  # g^0: any label for C
         if N > 1:
@@ -457,35 +436,42 @@ def zero_count_identity(f: FieldParams, N: int) -> tuple[int, Fraction]:
     return direct, via_q
 
 
-def _decompose(table: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Distance to the cycle per vertex, the number of cycles and the number
-    of cyclic vertices of a successor table, by pointer doubling over whole
-    arrays (Wyllie's list ranking).
+def _graph_stats(g: np.ndarray, outside: np.ndarray, n: int) -> GraphStats:
+    """Statistics of an n-vertex functional graph from the graph g it induces
+    on its image S_1 and outside[l], the number of predecessors of label l
+    off S_1.  S_1 holds every cycle and every vertex with a predecessor, so
+    the doubling runs on g alone, and the n - len(g) vertices off S_1 are the
+    in-degree-0 ones, each one step farther out than its successor: their
+    tails sum to outside @ dist + n - len(g), with dist the distance to the
+    cycle per label.  A label farthest out is cyclic, where every tail is 1,
+    or has no predecessor in g, so that all of its predecessors lie off S_1:
+    the longest tail is dist.max() + 1 when n > len(g).
 
-    With L = n.bit_length(), 2**L > n exceeds every tail.  L self-gathers give
-    hop = f^(2**L), whose image is the cyclic set.  Rounds then sum the
-    non-cyclic indicator (the distance to the cycle) over the window x, f(x),
-    ..., f^(2**i - 1)(x) until the next window is cyclic everywhere, once 2**i
-    reaches the longest tail.  On the cyclic set relabelled 0..m-1, f is a
-    permutation, and the least label over 2**m.bit_length() > m steps ahead is
-    its own label at exactly one vertex per cycle.
+    dist comes from pointer doubling over whole arrays (Wyllie's list
+    ranking).  With L = m1.bit_length(), 2**L > m1 = len(g) exceeds every
+    tail.  L self-gathers give hop = g^(2**L), whose image is the cyclic set.
+    Rounds then sum the non-cyclic indicator (the distance to the cycle) over
+    the window x, g(x), ..., g^(2**i - 1)(x) until the next window is cyclic
+    everywhere, once 2**i reaches the longest tail.  On the cyclic set
+    relabelled 0..m-1, g is a permutation, and the least label over
+    2**m.bit_length() > m steps ahead is its own label at exactly one vertex
+    per cycle.
 
     The doubling rounds alternate between the two spare work arrays and,
-    once it is no longer read, the table's own storage, which is overwritten.
-    The distances are returned in the first spare.
+    once it is no longer read, g's own storage, which is overwritten.
     """
-    n = len(table)
-    spare0, spare1 = _spares(n)
-    hop = table
-    for _ in range(n.bit_length()):
+    m1 = len(g)
+    spare0, spare1 = _work("spare0", m1), _work("spare1", m1)
+    hop = g
+    for _ in range(m1.bit_length()):
         hop = hop.take(hop, out=spare1 if hop is spare0 else spare0, mode="clip")
-    cyclic = _work("cyclic", n, bool)
+    cyclic = _work("cyclic", m1, bool)
     cyclic.fill(False)
     cyclic[hop] = True
     cyc = np.flatnonzero(cyclic)
-    succ = table[cyc]
+    succ = g[cyc]
     dist = np.logical_not(cyclic, out=spare0)
-    hop, ahead = table, spare1
+    hop, ahead = g, spare1
     while dist.take(hop, out=ahead, mode="clip").any():
         dist += ahead
         hop.take(hop, out=ahead, mode="clip")
@@ -498,46 +484,31 @@ def _decompose(table: np.ndarray) -> tuple[np.ndarray, int, int]:
     for _ in range(m.bit_length()):
         low = np.minimum(low, low[hop])
         hop = hop[hop]
-    return dist, int(np.count_nonzero(low == np.arange(m))), m
-
-
-def _graph_stats(hit: np.ndarray, g: np.ndarray, label: Callable) -> GraphStats:
-    """Statistics of a functional graph from the mask hit of its image S_1,
-    the graph g it induces on S_1 and label(y), the label in g of the
-    successor of y, a fresh array.  S_1 holds every cycle and every vertex
-    with a predecessor, so the doubling runs on g alone, and the in-degree-0
-    vertices are exactly the complement of S_1: each one's tail is one step
-    more than the distance of its successor.  hit and g are overwritten."""
-    dist, num_cycles, cyclic_count = _decompose(g)
-    tails = label(np.flatnonzero(np.logical_not(hit, out=hit)))
-    dist.take(tails, out=tails, mode="clip")
-    tails += 1
     return GraphStats(
-        num_cycles=num_cycles,
-        sum_cycle_lengths=cyclic_count,
-        sum_precyclic_path_lengths=int(tails.sum()),
-        max_tail=int(tails.max(initial=0)),
+        num_cycles=int(np.count_nonzero(low == np.arange(m))),
+        sum_cycle_lengths=m,
+        sum_precyclic_path_lengths=int(outside @ dist) + n - m1,
+        max_tail=int(dist.max()) + 1 if n > m1 else 0,
     )
 
 
-def _stats_from_table(table: np.ndarray, d: int = 1) -> GraphStats:
-    """Decompose a functional graph given its successor table, that of a
-    degree-d map (d = 1, the default, assumes nothing of the table), on the
-    graph _image_graph induces on its image: (p-1)/d + 1 vertices for a
-    polynomial map."""
-    return _graph_stats(*_image_graph(table, d))
+def _stats_from_table(table: np.ndarray) -> GraphStats:
+    """Decompose a functional graph given its successor table, assuming
+    nothing of it, on the graph _image_graph induces on its image: a label's
+    predecessors off the image are its in-degree in the table less its
+    in-degree in g."""
+    image, g = _image_graph(table, 1)
+    outside = np.bincount(table, minlength=len(table))[image] - np.bincount(g, minlength=len(g))
+    return _graph_stats(g, outside, len(table))
 
 
 def functional_graph_stats(f: FieldParams) -> GraphStats:
-    """At d = 2 on the normal form x**2 + c (see _induced_graph): its image
-    is {(x**2 + c) mod p}, marked from the unfolded values as _square_graph
-    folds them into g, and the successor y**2 + c of any y has the label
-    fold(y)."""
-    if f.d != 2:
-        return _stats_from_table(step_table(f), f.d)
-    p = f.p
-    hit = _work("mask", p, bool)
-    hit.fill(False)
-    g = _square_graph(f, hit)
-    # the labels' fold borrows spare1: _decompose leaves the distances in spare0
-    return _graph_stats(hit, g, lambda y: _fold(y, p, _work("spare1", len(y))))
+    """On the graph f induces on S_1 (see _induced_graph).  As d | p - 1,
+    each y != C in S_1 has d preimages and C has one, so a label's
+    predecessors off S_1 are d less its in-degree in g, and d - 1 fewer at
+    the label of C = f(0)."""
+    g, c = _induced_graph(f)
+    outside = np.bincount(g, minlength=len(g))
+    np.subtract(f.d, outside, out=outside)
+    outside[c] -= f.d - 1
+    return _graph_stats(g, outside, f.p)

@@ -1,9 +1,10 @@
 """Deterministic CSV/JSON rendering for sweep records and reports.
 
 CSV columns come in a fixed order; booleans are lowercased; floats use
-their shortest round-trip repr.  JSON output is an object with a metadata
-block followed by the records, indented two spaces.  Rendering the same
-records twice yields identical bytes.
+their shortest round-trip repr; fractions are written n/d, in JSON as
+strings.  JSON output is an object with a metadata block followed by the
+records, indented two spaces.  Rendering the same records twice yields
+identical bytes.
 """
 
 from __future__ import annotations
@@ -11,30 +12,56 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
+from fractions import Fraction
+
+from .errors import BudgetError
+
+
+def _ratio(value: Fraction) -> str:
+    """A Fraction as the text n/d; json.dumps calls it on any value it
+    cannot write itself."""
+    if type(value) is not Fraction:
+        raise TypeError(f"cannot render {type(value).__name__}")
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    return _ratio(value) if type(value) is Fraction else str(value)
 
 
 def render_records(records: list[dict], fieldnames: list[str], fmt: str,
                    metadata: dict | None = None) -> str:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for rec in records:
-            writer.writerow([_cell(rec[name]) for name in fieldnames])
-        return buf.getvalue()
-    if fmt == "json":
-        payload = {
-            "metadata": metadata or {},
-            "records": [{name: rec[name] for name in fieldnames} for rec in records],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+    try:
+        if fmt == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(fieldnames)
+            for rec in records:
+                writer.writerow([_cell(rec[name]) for name in fieldnames])
+            return buf.getvalue()
+        if fmt == "json":
+            payload = {
+                "metadata": metadata or {},
+                "records": [{name: rec[name] for name in fieldnames} for rec in records],
+            }
+            return json.dumps(payload, indent=2, default=_ratio) + "\n"
+    except ValueError:
+        # CPython writes no int of more than sys.get_int_max_str_digits() digits
+        # (4300 by default, 0 for no cap), as that takes time quadratic in them
+        limit = sys.get_int_max_str_digits()
+        bound = 10**limit if limit else math.inf
+        for value in (rec[name] for rec in records for name in fieldnames):
+            for n in (value.numerator, value.denominator) if type(value) is Fraction else (value,):
+                if type(n) is int and abs(n) >= bound:
+                    digits = int(math.log10(abs(n))) + 1  # off by one at most, near a power of 10
+                    digits += (abs(n) >= 10**digits) - (abs(n) < 10 ** (digits - 1))
+                    raise BudgetError(f"exact value of {digits} digits exceeds the "
+                                      f"{limit}-digit cap on written integers") from None
+        raise
     raise ValueError(f"unknown format {fmt!r}")
 
 

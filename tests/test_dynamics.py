@@ -175,22 +175,36 @@ def test_power_and_map_tables_at_the_block_seams(p):
             assert int(table[x]) == (A * pow(x, e, p) + C) % p, (e, x)
 
 
-def block_seam_checks(p):
-    f = poly_map(p, 2, 12345, 678)
-    x = np.arange(p // 2 + 1, dtype=np.int64)
-    values = (x * x + f.A * f.C) % p
-    assert dynamics._induced_graph(f)[0].tolist() == np.minimum(values, p - values).tolist()
+def block_seam_checks(p, d=2):
+    f = poly_map(p, d, 12345, 678)
+    table = dynamics.step_table(f)
+    if d == 2:
+        x = np.arange(p // 2 + 1, dtype=np.int64)
+        values = (x * x + f.A * f.C) % p
+        expected = np.minimum(values, p - values)
+    else:
+        image = np.unique(table)
+        expected = np.searchsorted(image, table[image])
+    assert dynamics._induced_graph(f)[0].tolist() == expected.tolist()
     for N in (2, 3, 5):
         counts = np.bincount(dynamics.apply_map_to_domain(f, N), minlength=p)
         assert dynamics.image_size(f, N) == np.count_nonzero(counts), N
-    assert dynamics.functional_graph_stats(f) == dynamics._stats_from_table(dynamics.step_table(f))
+    assert dynamics.functional_graph_stats(f) == dynamics._stats_from_table(table)
 
 
-@pytest.mark.parametrize("p", [65537, 131071])
-def test_degree_two_kernels_at_the_block_seams(p):
-    # the blocked add, mark and fold of the normal-form graph against plain
-    # numpy, and the kernels on it against the full-domain paths
-    block_seam_checks(p)
+@pytest.mark.parametrize("p, d", [
+    pytest.param(65537, 2, id="65537"),
+    pytest.param(131071, 2, id="131071"),
+    pytest.param(65537, 4, id="65537-d4"),
+    pytest.param(131071, 3, id="131071-d3"),
+])
+def test_degree_two_kernels_at_the_block_seams(p, d):
+    # the blocked add and fold of the normal-form graph against plain numpy,
+    # and the kernels on it against the full-domain paths; at d = 3 and 4 the
+    # ranked graph against np.unique, and the in-degree rule of the graph
+    # stats against the generic table path, above the p <= 300 of the
+    # hypothesis tests
+    block_seam_checks(p, d)
 
 
 def test_block_scratch_sized_by_a_small_prime_then_grown():
@@ -434,10 +448,10 @@ def test_graph_stats_on_permutation_table():
     stats = dynamics._stats_from_table(identity)
     assert stats.num_cycles == 11
     assert stats.sum_cycle_lengths == 11
-    assert stats.sum_precyclic_path_lengths == 0
+    assert (stats.sum_precyclic_path_lengths, stats.max_tail) == (0, 0)
     shift = (np.arange(11, dtype=np.int64) + 1) % 11
     stats = dynamics._stats_from_table(shift)
-    assert (stats.num_cycles, stats.sum_cycle_lengths) == (1, 11)
+    assert (stats.num_cycles, stats.sum_cycle_lengths, stats.max_tail) == (1, 11, 0)
 
 
 def test_graph_stats_every_vertex_reaches_cycle():
@@ -580,10 +594,14 @@ def test_profile_cache_keys_on_map_and_depth():
 
 
 def test_profile_is_read_only():
-    profile = dynamics._profile(poly_map(13, 3, 2, 5), 2)
-    assert not profile.flags.writeable
-    with pytest.raises(ValueError):
-        profile[0] = 1
+    # N = 0 is the closed form [0, p]: rho_0 is 1 everywhere
+    f = poly_map(13, 3, 2, 5)
+    assert dynamics._profile(f, 0).tolist() == [0, 13]
+    for N in (0, 2):
+        profile = dynamics._profile(f, N)
+        assert not profile.flags.writeable
+        with pytest.raises(ValueError):
+            profile[0] = 1
 
 
 def test_moments_refuse_negative_depth_and_recover():

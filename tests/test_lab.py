@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import polyiter
@@ -255,6 +256,46 @@ def test_cli_mu(capsys):
     assert lines[-1].startswith("2,3,39/128,")
 
 
+# (format, sha256 of stdout) for mu --d 2 --r 13, whose longest exact value
+# (the level-13 denominator, 2466 digits) is still under the 4300-digit cap
+MU_13_PINS = [
+    ("csv", "6dc92a7d910d7c06c48abe626e6b3c0f45d16e5daa5d43ffd41686d6777fdf5e"),
+    ("json", "62591b9367eefff029fc00756d3d11decce2c7253864a40f6b449c89d731bb0f"),
+]
+
+
+@pytest.mark.parametrize("fmt, digest", MU_13_PINS, ids=[pin[0] for pin in MU_13_PINS])
+def test_cli_refuses_exact_values_past_the_digit_cap(capsys, fmt, digest):
+    assert cli.main(["mu", "--d", "2", "--r", "13", "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest and err == ""
+    # the level-14 numerator has 4931 digits: budget exceeded, with no output
+    assert cli.main(["mu", "--d", "2", "--r", "14", "--format", fmt]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "exact value of 4931 digits" in err
+
+
+def test_render_records_counts_the_digits_of_a_refused_value():
+    # exactly at the cap, one past it, and on both sides of a power of 10,
+    # where a float log10 of the value could round either way
+    assert render_records([{"v": 10**4300 - 1}], ["v"], "json").count("9") == 4300
+    for value, digits in ((10**4300, 4301), (-(10**4300), 4301), (10**5000 - 1, 5000),
+                          (10**5000, 5001), (Fraction(1, 3**9100), 4342)):
+        for fmt in ("csv", "json"):
+            with pytest.raises(BudgetError, match=f" {digits} digits"):
+                render_records([{"x": 1, "v": value}], ["x", "v"], fmt)
+
+
+def test_render_records_writes_fractions_and_nothing_else_unknown():
+    rec = {"q": Fraction(1), "r": Fraction(-3, 8)}
+    assert render_records([rec], ["q", "r"], "csv") == "q,r\n1/1,-3/8\n"
+    assert json.loads(render_records([rec], ["q", "r"], "json"))["records"] == [
+        {"q": "1/1", "r": "-3/8"}]
+    # not a Fraction, though it has a numerator and a denominator
+    with pytest.raises(TypeError):
+        render_records([{"v": np.int64(5)}], ["v"], "json")
+
+
 def test_cli_ucount(capsys):
     assert cli.main(["ucount", "--d", "2", "--r", "1", "--k", "3"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "2,1,3,10"
@@ -453,6 +494,10 @@ def test_cli_exit_codes():
     start = time.perf_counter()
     assert cli.main(["sweep", "--d", "2", "--p-min", "3", "--p-max", "2147483647"]) == 3
     assert time.perf_counter() - start < 1
+    # budget exceeded: W(1, k) = 1 + 2**(k + 1) of x**2 at p = 5 has 4301
+    # digits from k = 14284 on, past CPython's cap on writing an int as text
+    assert cli.main(["moments", "--p", "5", "--d", "2", "--A", "1", "--C", "0", "--N", "1",
+                     "--k", "15000"]) == 3
     # invalid configuration: an output path that cannot be written
     assert cli.main(["orbit", "--p", "5", "--d", "2", "--A", "1", "--C", "1",
                      "--out", "/nonexistent/x"]) == 2
