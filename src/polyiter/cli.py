@@ -14,7 +14,7 @@ import sys
 from . import __version__, curves, dynamics, graphs, lab, recur
 from .dynamics import poly_map
 from .errors import BudgetError
-from .report import render_records, write_output
+from .report import render_records, writable, write_output
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -146,21 +146,33 @@ def _run_moments(args) -> int:
     if args.k < 0:
         raise ValueError("--k must be nonnegative")
     f = poly_map(args.p, args.d, args.A, args.C)
+    # W(N, 0) = W(N, 1) = p and every term n_j * j**k of W(N, k) is
+    # nondecreasing in k, so no moment past the first too long to write is
+    # computed: writable refuses that one as it comes
+    moments = writable(dynamics.moment_w(f, args.N, k) for k in range(args.k + 1))
     records = [
-        {"p": args.p, "d": args.d, "A": args.A, "C": args.C, "N": args.N,
-         "k": k, "w": dynamics.moment_w(f, args.N, k)}
-        for k in range(args.k + 1)
+        {"p": args.p, "d": args.d, "A": args.A, "C": args.C, "N": args.N, "k": k, "w": w}
+        for k, w in enumerate(moments)
     ]
     _emit(records, args)
     return EXIT_OK
 
 
 def _run_mu(args) -> int:
-    mus = recur.mu_sequence(args.d, args.r)
-    records = [
-        {"d": args.d, "r": r, "mu": mus[r], "mu_decimal": float(mus[r])}
-        for r in range(args.r + 1)
-    ]
+    # mu_r is n/d**e in lowest terms, e = (d**r - 1)/(d - 1), as n stays prime
+    # to d.  Levels are computed only up to the first whose denominator is
+    # past 10**limit, the least int CPython will not write (limit 0: no cap),
+    # and writable refuses that one before any is rendered.  The test caps e
+    # at 4 * limit, where d**e >= 16**limit is past already.
+    d, limit = args.d, sys.get_int_max_str_digits()
+    top, e = args.r, 0
+    for r in range(args.r if d > 1 and limit else 0):  # mu_sequence refuses d < 2
+        if d ** min(e, 4 * limit) >= 10**limit:
+            top = r
+            break
+        e = d * e + 1
+    levels = writable(recur.mu_sequence(d, top).values)
+    records = [{"d": d, "r": r, "mu": mu, "mu_decimal": float(mu)} for r, mu in enumerate(levels)]
     _emit(records, args)
     return EXIT_OK
 
@@ -209,16 +221,7 @@ def _run_curves(args) -> int:
 def _run_decomp(args) -> int:
     f = poly_map(args.p, args.d, args.A, args.C)
     report = curves.decomposition_check(f, args.N, args.k)
-    record = {
-        "p": report.p, "d": report.d, "N": report.N, "k": report.k,
-        "union_total": report.union_total, "cr_total": report.cr_total,
-        "cr_affine": report.cr_affine, "w_value": report.w_value,
-        "formula_infinity_term": report.formula_infinity_term,
-        "direct_infinity_count": report.direct_infinity_count,
-        "union_equals_cr": report.union_equals_cr,
-        "affine_equals_w": report.affine_equals_w,
-    }
-    _emit([record], args)
+    _emit([vars(report)], args)
     return EXIT_OK if report.union_equals_cr and report.affine_equals_w else EXIT_CHECK_FAILED
 
 

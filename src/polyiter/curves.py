@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import _map_table, apply_map_to_domain, moment_w
 from .errors import BudgetError
-from .field import FieldParams
+from .field import FieldParams, primitive_dth_root
 from .graphs import IterGraph, enumerate_complete_proper
 
 # Largest prime per tuple size; beyond this the chart scans stop being desk scale.
@@ -132,17 +132,18 @@ def _check_budget(p: int, k: int) -> None:
 
 
 def _chart(
-    f: FieldParams, equations: list[tuple[int, int, int, int]],
+    p: int, gamma: int, equations: list[tuple[int, int, int, int]],
     tables: dict[int, np.ndarray], axes: list[np.ndarray],
 ) -> np.ndarray:
     """Boolean grid over the coordinates axes[0] x ... x axes[k-1] (index
     arrays): the AND of every equation's level table, taken at the indices
-    of its two axes and broadcast onto them."""
-    p, k = f.p, len(axes)
+    of its two axes and broadcast onto them, the b side scaled by
+    gamma**twist mod p."""
+    k = len(axes)
     grid = np.ones([len(axis) for axis in axes], dtype=bool)
     for a, b, level, twist in equations:
         tab = tables[level]
-        cond = np.equal.outer(tab[axes[a - 1]], pow(f.gamma, twist, p) * tab[axes[b - 1]] % p)
+        cond = np.equal.outer(tab[axes[a - 1]], pow(gamma, twist, p) * tab[axes[b - 1]] % p)
         # a C-order reshape inserts the singleton axes around a-1 < b-1
         shape = [1] * k
         shape[a - 1], shape[b - 1] = cond.shape
@@ -154,7 +155,8 @@ def _variety(
     f: FieldParams, k: int, equations: list[tuple[int, int, int, int]]
 ) -> ProjectivePointSet:
     """Exact projective point set of the system F^level(x_a) = gamma**twist *
-    F^level(x_b), one (a, b, level, twist) tuple with a < b per equation.
+    F^level(x_b), one (a, b, level, twist) tuple with a < b per equation,
+    gamma the fixed primitive d-th root of unity, primitive_dth_root(p, d).
 
     The affine mask is the x0 = 1 chart over every coordinate.  On x0 = 0
     only the points whose first nonzero coordinate is the 1 at position lead
@@ -163,15 +165,16 @@ def _variety(
     """
     p = f.p
     _check_budget(p, k)
+    gamma = primitive_dth_root(p, f.d)
     levels = {level for _, _, level, _ in equations}
     affine = {level: _iterate_table(f, level, False) for level in levels}
     infinity = {level: _iterate_table(f, level, True) for level in levels}
     every, zero, one = np.arange(p), np.array([0]), np.array([1])
     return ProjectivePointSet(
-        affine=_chart(f, equations, affine, [every] * k),
+        affine=_chart(p, gamma, equations, affine, [every] * k),
         infinity=np.concatenate([
-            _chart(f, equations, infinity, [zero] * (lead - 1) + [one] + [every] * (k - lead))
-            .ravel()
+            _chart(p, gamma, equations, infinity,
+                   [zero] * (lead - 1) + [one] + [every] * (k - lead)).ravel()
             for lead in range(1, k + 1)
         ]),
     )

@@ -187,23 +187,18 @@ def step_table(f: FieldParams) -> np.ndarray:
 def _iterate(
     table: np.ndarray, n: int, work: tuple[np.ndarray, np.ndarray] | None = None
 ) -> np.ndarray:
-    """table composed with itself n >= 0 more times, f**k for k = n + 1:
-    n direct gathers of table, or left-to-right binary powering of k at
-    k.bit_length() - 1 squarings plus popcount(k) - 1 gathers, whichever is
-    fewer.  Every pass writes into two arrays of table's length and apart
-    from it, work or else the spare work arrays: a gather of table in place
-    (take's output may be its index array), a squaring into the other one.
-    table is only read; the result is table (n = 0) or one of the two."""
+    """table composed with itself n >= 0 more times, f**k for k = n + 1, by
+    left-to-right binary powering of k: k.bit_length() - 1 squarings plus
+    popcount(k) - 1 gathers of table.  Every pass writes into two arrays of
+    table's length and apart from it, work or else the spare work arrays: a
+    squaring into the one not read, a gather of table in place (take's
+    output may be its index array).  table is only read; the result is table
+    (n = 0) or one of the two."""
     if n == 0:
         return table
-    k = n + 1
     a, b = work or (_work("spare0", len(table)), _work("spare1", len(table)))
     arr = table
-    if n <= k.bit_length() + k.bit_count() - 2:
-        for _ in range(n):
-            arr = table.take(arr, out=a, mode="clip")
-        return arr
-    for bit in bin(k)[3:]:
+    for bit in bin(n + 1)[3:]:
         arr = arr.take(arr, out=b if arr is a else a, mode="clip")
         if bit == "1":
             table.take(arr, out=arr, mode="clip")
@@ -221,20 +216,6 @@ def apply_map_to_domain(f: FieldParams, N: int) -> np.ndarray:
     if N == 1:
         return table.copy()
     return _iterate(table, N - 1, (np.empty_like(table), np.empty_like(table)))
-
-
-def _image_graph(table: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(image, g) for the successor table of a degree-d map (d = 1 assumes
-    nothing of the table): its image S_1 in ascending order, read off a hit
-    mask, and the graph g the table induces on S_1, labelled 0..m1-1 by
-    position in image through a rank array.  An even map (table[p - x] ==
-    table[x]) takes every value on x <= p//2, so only that half is marked."""
-    hit = np.zeros(len(table), dtype=bool)
-    hit[table[: len(table) // 2 + 1] if d % 2 == 0 else table] = True
-    image = np.flatnonzero(hit)
-    rank = np.empty(len(table), dtype=np.int64)
-    rank[image] = np.arange(len(image))
-    return image, rank[table[image]]
 
 
 def _square_graph(f: FieldParams) -> np.ndarray:
@@ -266,11 +247,18 @@ def _induced_graph(f: FieldParams) -> tuple[np.ndarray, int]:
     one-to-one on x <= p//2, so label x stands for x**2 + A*C, f(0) has
     label 0 and g(x) = fold(x**2 + A*C): one addition to the squares and a
     fold, with no step table (_square_graph).  Any other d labels S_1 in
-    ascending order through _image_graph on the step table, into a fresh g."""
+    ascending order through a rank array over the step table's hit mask,
+    into a fresh g.  An even map (table[p - x] == table[x]) takes every value
+    on x <= p//2, so only that half is marked."""
     if f.d == 2:
         return _square_graph(f), 0
-    image, g = _image_graph(step_table(f), f.d)
-    return g, int(np.searchsorted(image, f.C))
+    table = step_table(f)
+    hit = np.zeros(f.p, dtype=bool)
+    hit[table[: f.p // 2 + 1] if f.d % 2 == 0 else table] = True
+    image = np.flatnonzero(hit)
+    rank = np.empty(f.p, dtype=np.int64)
+    rank[image] = np.arange(len(image))
+    return rank[table[image]], int(rank[f.C])
 
 
 # One entry, like _power_table: every map of a prime's sweep shares it.
@@ -490,16 +478,6 @@ def _graph_stats(g: np.ndarray, outside: np.ndarray, n: int) -> GraphStats:
         sum_precyclic_path_lengths=int(outside @ dist) + n - m1,
         max_tail=int(dist.max()) + 1 if n > m1 else 0,
     )
-
-
-def _stats_from_table(table: np.ndarray) -> GraphStats:
-    """Decompose a functional graph given its successor table, assuming
-    nothing of it, on the graph _image_graph induces on its image: a label's
-    predecessors off the image are its in-degree in the table less its
-    in-degree in g."""
-    image, g = _image_graph(table, 1)
-    outside = np.bincount(table, minlength=len(table))[image] - np.bincount(g, minlength=len(g))
-    return _graph_stats(g, outside, len(table))
 
 
 def functional_graph_stats(f: FieldParams) -> GraphStats:

@@ -1,17 +1,17 @@
 """Prime-field arithmetic, parameter validation, and root-of-unity discovery.
 
 Everything downstream (iteration, point counting, sweeps) builds on the
-parameter bundle constructed here: an odd-ish prime p, a degree d >= 2
-dividing p - 1, a nonzero leading coefficient A, a constant term C, and a
-fixed primitive d-th root of unity gamma.  All moduli are capped below
-2**31 so products of two residues stay inside a 64-bit intermediate.
+parameter bundle constructed here, the map itself: an odd-ish prime p, a
+degree d >= 2 dividing p - 1, a nonzero leading coefficient A and a constant
+term C.  The fixed primitive d-th root of unity gamma is found on demand by
+the point counts, its only reader.  All moduli are capped below 2**31 so
+products of two residues stay inside a 64-bit intermediate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 # Residues must fit a machine word with a double-width product.
 MAX_MODULUS = 2**31
@@ -34,13 +34,12 @@ class ValidationResult:
 
 @dataclass(frozen=True)
 class FieldParams:
-    """Validated parameter bundle (p, d, A, C) plus the canonical gamma."""
+    """Validated parameter bundle (p, d, A, C) of the map A*x^d + C."""
 
     p: int
     d: int
     A: int
     C: int
-    gamma: int
 
 
 def is_prime(n: int) -> bool:
@@ -88,7 +87,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=65536)
 def primitive_dth_root(p: int, d: int) -> int:
     """Smallest residue in [2, p-1] of multiplicative order exactly d.
 
@@ -121,8 +119,8 @@ def primitive_dth_root(p: int, d: int) -> int:
 
 
 def field_params(p: int, d: int, A: int, C: int) -> FieldParams:
-    """Validate (p, d, A) and attach C and the canonical gamma."""
+    """Validate (p, d, A) and reduce A and C mod p."""
     result = validate_params(p, d, A)
     if not result.ok:
         raise ValueError(f"invalid parameters (p={p}, d={d}, A={A}): {result.reason}")
-    return FieldParams(p=p, d=d, A=A % p, C=C % p, gamma=primitive_dth_root(p, d))
+    return FieldParams(p=p, d=d, A=A % p, C=C % p)

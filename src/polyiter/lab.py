@@ -96,7 +96,7 @@ def _sweep(
     for p in primes_with_degree(cfg.p_min, cfg.p_max, cfg.d):
         per_map = per_prime(p)
         # validated once per prime; every pair has A in [1, p) and C in [0, p)
-        base = poly_map(p, cfg.d, 1, 0)
+        poly_map(p, cfg.d, 1, 0)
         if cfg.policy == "all":
             pairs = ((A, C) for A in range(1, p) for C in range(p))
         else:
@@ -106,7 +106,7 @@ def _sweep(
         admitted = 0
         for A, C in pairs:
             drawn += 1
-            f = FieldParams(p, cfg.d, A, C, base.gamma)
+            f = FieldParams(p, cfg.d, A, C)
             if cfg.require_precondition and not dynamics.check_precondition(f, cfg.N):
                 rejected += 1
                 continue
@@ -200,10 +200,7 @@ def graph_sweep(cfg: SweepConfig) -> tuple[list[dict], dict]:
             stats = dynamics.functional_graph_stats(f)
             image_n0 = dynamics.image_size(f, n0)
             return {
-                "num_cycles": stats.num_cycles,
-                "sum_cycle_lengths": stats.sum_cycle_lengths,
-                "sum_precyclic_path_lengths": stats.sum_precyclic_path_lengths,
-                "max_tail": stats.max_tail,
+                **vars(stats),
                 "cycle_bound": cycle_bound,
                 "precyclic_bound": precyclic_bound,
                 "n0": n0,
@@ -236,18 +233,11 @@ def _require(ok: bool, detail: str) -> None:
         raise CheckFailed(detail)
 
 
-def check_mu_v_consistency(
-    d: int, r_max: int, tables: list[recur.CoeffTable] | None = None
-) -> str:
-    """Coefficient tables against the scalar recurrences.
-
-    tables is injectable so a corrupted table is reported here, not upstream.
-    """
-    if tables is None:
-        tables = [recur.e_coeffs(d, r) for r in range(-1, r_max + 1)]
+def check_mu_v_consistency(d: int, r_max: int) -> str:
+    """Coefficient tables against the scalar recurrences."""
     mus = recur.mu_sequence(d, r_max + 1)
     v0_prev = Fraction(0)
-    for table in tables:
+    for table in (recur.e_coeffs(d, r) for r in range(-1, r_max + 1)):
         _require(table.total() == 1, f"d={d} r={table.r}: coefficients sum to {table.total()}")
         _require(not any(c < 0 for c in table.v), f"d={d} r={table.r}: negative coefficient")
         if table.r >= 0:

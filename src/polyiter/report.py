@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .errors import BudgetError
@@ -33,6 +34,23 @@ def _cell(value) -> str:
     return _ratio(value) if type(value) is Fraction else str(value)
 
 
+def writable(values: Iterable) -> Iterator:
+    """values, one at a time, refused with BudgetError at the first int, or
+    numerator and then denominator of a Fraction, that CPython will not
+    write as text: one of more than sys.get_int_max_str_digits() digits
+    (4300 by default, 0 for no cap), as that takes time quadratic in them."""
+    limit = sys.get_int_max_str_digits()
+    bound = 10**limit if limit else math.inf
+    for value in values:
+        for n in (value.numerator, value.denominator) if type(value) is Fraction else (value,):
+            if type(n) is int and abs(n) >= bound:
+                digits = int(math.log10(abs(n))) + 1  # off by one at most, near a power of 10
+                digits += (abs(n) >= 10**digits) - (abs(n) < 10 ** (digits - 1))
+                raise BudgetError(f"exact value of {digits} digits exceeds the "
+                                  f"{limit}-digit cap on written integers") from None
+        yield value
+
+
 def render_records(records: list[dict], fieldnames: list[str], fmt: str,
                    metadata: dict | None = None) -> str:
     try:
@@ -50,17 +68,8 @@ def render_records(records: list[dict], fieldnames: list[str], fmt: str,
             }
             return json.dumps(payload, indent=2, default=_ratio) + "\n"
     except ValueError:
-        # CPython writes no int of more than sys.get_int_max_str_digits() digits
-        # (4300 by default, 0 for no cap), as that takes time quadratic in them
-        limit = sys.get_int_max_str_digits()
-        bound = 10**limit if limit else math.inf
-        for value in (rec[name] for rec in records for name in fieldnames):
-            for n in (value.numerator, value.denominator) if type(value) is Fraction else (value,):
-                if type(n) is int and abs(n) >= bound:
-                    digits = int(math.log10(abs(n))) + 1  # off by one at most, near a power of 10
-                    digits += (abs(n) >= 10**digits) - (abs(n) < 10 ** (digits - 1))
-                    raise BudgetError(f"exact value of {digits} digits exceeds the "
-                                      f"{limit}-digit cap on written integers") from None
+        for _ in writable(rec[name] for rec in records for name in fieldnames):
+            pass
         raise
     raise ValueError(f"unknown format {fmt!r}")
 

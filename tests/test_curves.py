@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from polyiter import cli, curves, dynamics, graphs
 from polyiter.dynamics import poly_map
 from polyiter.errors import BudgetError
-from polyiter.field import FieldParams
+from polyiter.field import FieldParams, primitive_dth_root
 from polyiter.graphs import IterGraph
 
 from oracles import eval_map
@@ -69,7 +69,7 @@ def phi_eval(f: FieldParams, spec: PhiSpec, x: int, y: int, z: int) -> int:
         return (x - y) % p
     fx = homogeneous_iterate(f, x, z, spec.level)
     fy = homogeneous_iterate(f, y, z, spec.level)
-    return (fx - pow(f.gamma, spec.twist, p) * fy) % p
+    return (fx - pow(primitive_dth_root(p, f.d), spec.twist, p) * fy) % p
 
 
 def point_tuples(pts):
@@ -141,7 +141,7 @@ def test_orientation_swap_identity():
     for level in (0, 1):
         for eta in (1, 2, 3):
             partner = (4 - eta) % 4
-            scale = (-pow(f.gamma, eta, 13)) % 13
+            scale = (-pow(primitive_dth_root(13, 4), eta, 13)) % 13
             for x in range(13):
                 for y in range(13):
                     fwd = phi_eval(f, PhiSpec(level, eta), x, y, 1)
@@ -472,6 +472,7 @@ def solution_graph(f, xs, N):
     otherwise the first level where the iterates differ by a root power."""
     k = len(xs)
     g = IterGraph(k=k, r=N - 1, d=f.d)
+    gamma = primitive_dth_root(f.p, f.d)
     for a in range(1, k + 1):
         for b in range(a + 1, k + 1):
             xa, xb = xs[a - 1], xs[b - 1]
@@ -482,7 +483,7 @@ def solution_graph(f, xs, N):
             for level in range(N):
                 fa, fb = iterate(f, xa, level), iterate(f, xb, level)
                 for h in range(1, f.d):
-                    if fa == pow(f.gamma, h, f.p) * fb % f.p:
+                    if fa == pow(gamma, h, f.p) * fb % f.p:
                         label = (level, h)
                         break
                 if label:

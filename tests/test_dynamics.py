@@ -12,7 +12,7 @@ from polyiter.dynamics import poly_map
 from polyiter.errors import BudgetError
 from polyiter.field import is_prime
 
-from oracles import eval_map
+from oracles import eval_map, stats_from_table
 
 F5 = poly_map(5, 2, 1, 1)
 
@@ -150,7 +150,7 @@ def test_degree_two_kernels_against_full_domain_at_larger_p(A, C):
     x = np.arange(p // 2 + 1, dtype=np.int64)
     values = (x * x + A * C) % p
     assert dynamics._induced_graph(f)[0].tolist() == np.minimum(values, p - values).tolist()
-    assert dynamics.functional_graph_stats(f) == dynamics._stats_from_table(dynamics.step_table(f))
+    assert dynamics.functional_graph_stats(f) == stats_from_table(dynamics.step_table(f))
     for N in (2, 3, 5):
         counts = np.bincount(dynamics.apply_map_to_domain(f, N), minlength=p)
         assert dynamics.image_size(f, N) == np.count_nonzero(counts)
@@ -189,7 +189,7 @@ def block_seam_checks(p, d=2):
     for N in (2, 3, 5):
         counts = np.bincount(dynamics.apply_map_to_domain(f, N), minlength=p)
         assert dynamics.image_size(f, N) == np.count_nonzero(counts), N
-    assert dynamics.functional_graph_stats(f) == dynamics._stats_from_table(table)
+    assert dynamics.functional_graph_stats(f) == stats_from_table(table)
 
 
 @pytest.mark.parametrize("p, d", [
@@ -445,12 +445,12 @@ def test_functional_graph_stats():
 def test_graph_stats_on_permutation_table():
     # a bijective table has every vertex on a cycle and no sources
     identity = np.arange(11, dtype=np.int64)
-    stats = dynamics._stats_from_table(identity)
+    stats = stats_from_table(identity)
     assert stats.num_cycles == 11
     assert stats.sum_cycle_lengths == 11
     assert (stats.sum_precyclic_path_lengths, stats.max_tail) == (0, 0)
     shift = (np.arange(11, dtype=np.int64) + 1) % 11
-    stats = dynamics._stats_from_table(shift)
+    stats = stats_from_table(shift)
     assert (stats.num_cycles, stats.sum_cycle_lengths, stats.max_tail) == (1, 11, 0)
 
 
@@ -616,7 +616,7 @@ def test_moments_refuse_negative_depth_and_recover():
 
 
 def graph_stats_oracle(table):
-    """The path-stack reference loop for _stats_from_table.
+    """The path-stack reference loop for stats_from_table.
 
     Single pass with an explicit path stack: every vertex is classified as
     cyclic (distance 0) or assigned its distance to the first cyclic vertex.
@@ -707,7 +707,7 @@ def _tail_into_fixed_point(p):
 @example(table=_tail_into_fixed_point(64))
 @example(table=_tail_into_fixed_point(300))
 def test_graph_stats_match_path_stack_oracle(table):
-    assert dynamics._stats_from_table(table) == graph_stats_oracle(table)
+    assert stats_from_table(table) == graph_stats_oracle(table)
 
 
 @settings(max_examples=150, deadline=None)
@@ -781,7 +781,7 @@ def test_graph_stats_at_doubling_boundaries(i):
             expected = dynamics.GraphStats(
                 num_cycles=1, sum_cycle_lengths=cycle,
                 sum_precyclic_path_lengths=tail, max_tail=tail)
-            assert dynamics._stats_from_table(table) == expected, (cycle, tail)
+            assert stats_from_table(table) == expected, (cycle, tail)
             assert graph_stats_oracle(table) == expected
 
 
@@ -797,7 +797,7 @@ def test_graph_stats_on_all_cyclic_permutation():
     expected = dynamics.GraphStats(
         num_cycles=len(lengths), sum_cycle_lengths=len(labels),
         sum_precyclic_path_lengths=0, max_tail=0)
-    assert dynamics._stats_from_table(table) == expected
+    assert stats_from_table(table) == expected
     assert graph_stats_oracle(table) == expected
 
 
@@ -808,7 +808,7 @@ def test_graph_stats_single_fixed_point_with_longest_tail(p):
     expected = dynamics.GraphStats(
         num_cycles=1, sum_cycle_lengths=1,
         sum_precyclic_path_lengths=p - 1, max_tail=p - 1)
-    assert dynamics._stats_from_table(table) == expected
+    assert stats_from_table(table) == expected
 
 
 def eval_table(f):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from polyiter import field
@@ -67,9 +69,15 @@ def test_validation_implies_root_exists():
                 field.primitive_dth_root(p, d)
 
 
+def test_field_params_is_the_map():
+    # the parameter bundle holds the map's four numbers and nothing derived
+    assert [f.name for f in dataclasses.fields(field.FieldParams)] == ["p", "d", "A", "C"]
+    assert field.field_params(13, 3, 15, -1) == field.FieldParams(13, 3, 2, 12)
+
+
 def test_field_params_builds_and_rejects():
     params = field.field_params(13, 3, 2, 5)
     assert (params.p, params.d, params.A, params.C) == (13, 3, 2, 5)
-    assert pow(params.gamma, 3, 13) == 1
+    assert pow(field.primitive_dth_root(params.p, params.d), 3, 13) == 1
     with pytest.raises(ValueError):
         field.field_params(5, 3, 1, 0)

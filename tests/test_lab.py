@@ -190,18 +190,20 @@ def test_render_json_shape():
         render_records(records, ["p"], "xml")
 
 
-def test_mu_v_consistency_fault_injection():
+def test_mu_v_consistency_fault_injection(monkeypatch):
     assert lab.check_mu_v_consistency(2, 4) == "d=2 up to r=4"
-    tables = [recur.e_coeffs(2, r) for r in range(-1, 5)]
-    corrupt = recur.CoeffTable(
-        d=2, r=3, v=tuple(
-            c + Fraction(1, 7) if i == 0 else c
-            for i, c in enumerate(tables[4].v)
-        ),
-    )
-    injected = tables[:4] + [corrupt, tables[5]]
+    e_coeffs = recur.e_coeffs
+
+    def corrupted(d, r):
+        table = e_coeffs(d, r)
+        if r != 3:
+            return table
+        v = (table.v[0] + Fraction(1, 7),) + table.v[1:]
+        return recur.CoeffTable(d=d, r=r, v=v)
+
+    monkeypatch.setattr(recur, "e_coeffs", corrupted)
     with pytest.raises(lab.CheckFailed, match="d=2 r=3"):
-        lab.check_mu_v_consistency(2, 4, tables=injected)
+        lab.check_mu_v_consistency(2, 4)
 
 
 CHECK_NAMES = [
@@ -464,7 +466,7 @@ def test_cli_sweep_bytes_pinned(capsys, name, d, fmt, digest):
     assert hashlib.sha256((out + err).encode()).hexdigest() == digest
 
 
-def test_cli_exit_codes():
+def test_cli_exit_codes(capsys):
     # invalid configuration: p not prime
     assert cli.main(["image", "--p", "6", "--d", "2", "--A", "1", "--C", "1"]) == 2
     # budget exceeded: p above the point-counting cap
@@ -494,10 +496,22 @@ def test_cli_exit_codes():
     start = time.perf_counter()
     assert cli.main(["sweep", "--d", "2", "--p-min", "3", "--p-max", "2147483647"]) == 3
     assert time.perf_counter() - start < 1
-    # budget exceeded: W(1, k) = 1 + 2**(k + 1) of x**2 at p = 5 has 4301
-    # digits from k = 14284 on, past CPython's cap on writing an int as text
-    assert cli.main(["moments", "--p", "5", "--d", "2", "--A", "1", "--C", "0", "--N", "1",
-                     "--k", "15000"]) == 3
+    # budget exceeded, refused before the values past the cap are computed or
+    # any is converted to text: W(1, k) = 1 + 2**(k + 1) of x**2 at p = 5 has
+    # 4301 digits from k = 14284 on, past CPython's cap on writing an int as
+    # text, and mu_14 at d = 2 has a numerator of 4931 digits, its
+    # denominator 2**16383
+    capsys.readouterr()
+    for argv, digits in [
+        (["moments", "--p", "5", "--d", "2", "--A", "1", "--C", "0", "--N", "1",
+          "--k", "15000"], 4301),
+        (["mu", "--d", "2", "--r", "27"], 4931),
+    ]:
+        start = time.perf_counter()
+        assert cli.main(argv) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", f"budget exceeded: exact value of {digits} digits "
+                                       "exceeds the 4300-digit cap on written integers\n")
     # invalid configuration: an output path that cannot be written
     assert cli.main(["orbit", "--p", "5", "--d", "2", "--A", "1", "--C", "1",
                      "--out", "/nonexistent/x"]) == 2
