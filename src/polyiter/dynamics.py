@@ -110,7 +110,8 @@ _BLOCK = 2**15
 
 def _block(n: int) -> np.ndarray:
     """The block-sized int64 scratch, min(n, _BLOCK) entries: the quotients
-    of _reduce and the fold's spare in _square_graph.  It is the head of the
+    of _reduce, the base of an odd step of _power_table and the fold's spare
+    in _square_graph.  It is the head of the
     spare work array spare1, which holds nothing while a table or the d = 2
     graph is built, and which the whole-domain kernels touch in full anyway:
     its own buffer would add 256 KB to the peak RSS at p ~ 10**6."""
@@ -131,10 +132,10 @@ def _reduce(y: np.ndarray, p: int, q: np.ndarray) -> np.ndarray:
 
 
 def _arange(n: int) -> np.ndarray:
-    """0, 1, ..., n - 1, read-only: a prefix of one arange kept across calls."""
+    """0, 1, ..., n - 1 for n <= _BLOCK, read-only: a prefix of one kept arange."""
     base = _WORK.get("arange")
     if base is None or len(base) < n:
-        base = _WORK["arange"] = np.arange(n + n // 64, dtype=np.int64)
+        base = _WORK["arange"] = np.arange(min(n + n // 64, _BLOCK), dtype=np.int64)
         base.setflags(write=False)
     return base[:n]
 
@@ -145,22 +146,20 @@ def _arange(n: int) -> np.ndarray:
 def _power_table(p: int, e: int) -> np.ndarray:
     """x -> x**e mod p for x <= p//2, for e >= 1, read-only and valid until
     the next call with another (p, e): left-to-right square-and-multiply in
-    place on the reused arange, every product below p**2 < 2**62, one block
-    at a time through all the steps.  The rest follows from (p - x)**e =
-    (-1)**e * x**e; callers that need it mirror."""
+    place, every product below p**2 < 2**62, one block at a time through all
+    the steps from the base x = start + arange, recomputed into the quotient
+    scratch for each odd step.  The rest follows from (p - x)**e = (-1)**e *
+    x**e; callers that need it mirror."""
     n = p // 2 + 1
-    arange, power, q = _arange(n), _work("power", n), _block(n)
+    arange, power, q = _arange(min(n, _BLOCK)), _work("power", n), _block(n)
     for start in range(0, n, _BLOCK):
-        base = arange[start : start + _BLOCK]
         low = power[start : start + _BLOCK]
-        if e == 1:
-            low[:] = base
-        acc = base  # the first squaring reads the arange, so no copy of it is made
+        np.add(arange[: len(low)], start, out=low)
         for bit in bin(e)[3:]:
-            _reduce(np.multiply(acc, acc, out=low), p, q)
+            _reduce(np.multiply(low, low, out=low), p, q)
             if bit == "1":
+                base = np.add(arange[: len(low)], start, out=q[: len(low)])
                 _reduce(np.multiply(low, base, out=low), p, q)
-            acc = low
     power.setflags(write=False)
     return power
 
@@ -308,18 +307,22 @@ def _profile(f: FieldParams, N: int) -> np.ndarray:
     """n_j = #{m : rho_N(m) = j}, read-only.  As d | p - 1, each y != C in
     S_1 = f(F_p) has d preimages and C has one, so for N >= 1 rho_N is 0 off
     S_1 and on it d times the histogram of g^(N-1), less d - 1 at
-    g^(N-1)(C), with g the graph f induces on S_1.  rho_0 is 1 everywhere."""
+    g^(N-1)(C), with g the graph f induces on S_1 of m1 labels: at N = 1,
+    m1 - 1 values hit d times and C once.  rho_0 is 1 everywhere."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
     if N == 0:
         profile = np.array([0, f.p])
+    elif N == 1:
+        m1 = (f.p - 1) // f.d + 1
+        profile = np.array([f.p - m1, 1] + [0] * (f.d - 2) + [m1 - 1])
     else:
-        values, c = _arange((f.p - 1) // f.d + 1), 0  # g^0: any label for C
-        if N > 1:
-            g, c = _induced_graph(f)
-            values = _iterate(g, N - 2)
-        counts = np.bincount(values, minlength=len(values))
-        counts *= f.d
+        g, c = _induced_graph(f)
+        spare = _work("spare0", len(g)), _work("spare1", len(g))
+        values = _iterate(g, N - 2, spare)
+        counts = spare[1] if values is spare[0] else spare[0]
+        counts.fill(0)
+        np.add.at(counts, values, f.d)
         counts[values[c]] -= f.d - 1
         profile = np.bincount(counts)
         profile[0] += f.p - len(values)
@@ -424,26 +427,20 @@ def zero_count_identity(f: FieldParams, N: int) -> tuple[int, Fraction]:
     return direct, via_q
 
 
-def _graph_stats(g: np.ndarray, outside: np.ndarray, n: int) -> GraphStats:
-    """Statistics of an n-vertex functional graph from the graph g it induces
-    on its image S_1 and outside[l], the number of predecessors of label l
-    off S_1.  S_1 holds every cycle and every vertex with a predecessor, so
-    the doubling runs on g alone, and the n - len(g) vertices off S_1 are the
-    in-degree-0 ones, each one step farther out than its successor: their
-    tails sum to outside @ dist + n - len(g), with dist the distance to the
-    cycle per label.  A label farthest out is cyclic, where every tail is 1,
-    or has no predecessor in g, so that all of its predecessors lie off S_1:
-    the longest tail is dist.max() + 1 when n > len(g).
+def _graph_stats(g: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(number of cycles, number m of cyclic vertices, dist) of the
+    functional graph g, with dist[x] the distance of x to its cycle: a view
+    of a work array, valid until the next kernel call.
 
     dist comes from pointer doubling over whole arrays (Wyllie's list
     ranking).  With L = m1.bit_length(), 2**L > m1 = len(g) exceeds every
-    tail.  L self-gathers give hop = g^(2**L), whose image is the cyclic set.
-    Rounds then sum the non-cyclic indicator (the distance to the cycle) over
-    the window x, g(x), ..., g^(2**i - 1)(x) until the next window is cyclic
-    everywhere, once 2**i reaches the longest tail.  On the cyclic set
-    relabelled 0..m-1, g is a permutation, and the least label over
-    2**m.bit_length() > m steps ahead is its own label at exactly one vertex
-    per cycle.
+    tail.  L self-gathers give hop = g^(2**L), whose image is the cyclic set,
+    marked on a prefix of the mask work array.  Rounds then sum the
+    non-cyclic indicator (the distance to the cycle) over the window x, g(x),
+    ..., g^(2**i - 1)(x) until the next window is cyclic everywhere, once
+    2**i reaches the longest tail.  On the cyclic set relabelled 0..m-1, g is
+    a permutation, and the least label over 2**m.bit_length() > m steps ahead
+    is its own label at exactly one vertex per cycle.
 
     The doubling rounds alternate between the two spare work arrays and,
     once it is no longer read, g's own storage, which is overwritten.
@@ -453,7 +450,7 @@ def _graph_stats(g: np.ndarray, outside: np.ndarray, n: int) -> GraphStats:
     hop = g
     for _ in range(m1.bit_length()):
         hop = hop.take(hop, out=spare1 if hop is spare0 else spare0, mode="clip")
-    cyclic = _work("cyclic", m1, bool)
+    cyclic = _work("mask", m1, bool)
     cyclic.fill(False)
     cyclic[hop] = True
     cyc = np.flatnonzero(cyclic)
@@ -472,21 +469,18 @@ def _graph_stats(g: np.ndarray, outside: np.ndarray, n: int) -> GraphStats:
     for _ in range(m.bit_length()):
         low = np.minimum(low, low[hop])
         hop = hop[hop]
-    return GraphStats(
-        num_cycles=int(np.count_nonzero(low == np.arange(m))),
-        sum_cycle_lengths=m,
-        sum_precyclic_path_lengths=int(outside @ dist) + n - m1,
-        max_tail=int(dist.max()) + 1 if n > m1 else 0,
-    )
+    return int(np.count_nonzero(low == np.arange(m))), m, dist
 
 
 def functional_graph_stats(f: FieldParams) -> GraphStats:
-    """On the graph f induces on S_1 (see _induced_graph).  As d | p - 1,
-    each y != C in S_1 has d preimages and C has one, so a label's
-    predecessors off S_1 are d less its in-degree in g, and d - 1 fewer at
-    the label of C = f(0)."""
+    """On the graph g f induces on S_1 (see _induced_graph), of m1 labels.
+    The in-degree-0 vertices are the p - m1 off S_1, each with tail dist[l] + 1
+    at the label l of its successor.  As d | p - 1, each label has d
+    predecessors in F_p, the label c of f(0) one, and a step along g off the
+    cycles lowers dist by one, so the tails sum to (d - 1) * (sum(dist) -
+    dist[c]) + p - m.  The longest is dist.max() + 1: a label farthest out is
+    cyclic or has all of its predecessors off S_1."""
     g, c = _induced_graph(f)
-    outside = np.bincount(g, minlength=len(g))
-    np.subtract(f.d, outside, out=outside)
-    outside[c] -= f.d - 1
-    return _graph_stats(g, outside, f.p)
+    cycles, m, dist = _graph_stats(g)
+    tails = (f.d - 1) * (int(dist.sum()) - int(dist[c])) + f.p - m
+    return GraphStats(cycles, m, tails, int(dist.max()) + 1)

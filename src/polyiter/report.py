@@ -34,6 +34,14 @@ def _cell(value) -> str:
     return _ratio(value) if type(value) is Fraction else str(value)
 
 
+def _digits(n: int) -> int:
+    """The decimal digits of n >= 1.  math.log10 of a b-bit int is off by
+    under b * 2**-50, so only one that close to an integer k takes 10**k."""
+    x = math.log10(n)
+    k = round(x)
+    return k + (n >= 10**k) if abs(x - k) <= n.bit_length() * 2.0**-50 else math.floor(x) + 1
+
+
 def writable(values: Iterable) -> Iterator:
     """values, one at a time, refused with BudgetError at the first int, or
     numerator and then denominator of a Fraction, that CPython will not
@@ -44,9 +52,7 @@ def writable(values: Iterable) -> Iterator:
     for value in values:
         for n in (value.numerator, value.denominator) if type(value) is Fraction else (value,):
             if type(n) is int and abs(n) >= bound:
-                digits = int(math.log10(abs(n))) + 1  # off by one at most, near a power of 10
-                digits += (abs(n) >= 10**digits) - (abs(n) < 10 ** (digits - 1))
-                raise BudgetError(f"exact value of {digits} digits exceeds the "
+                raise BudgetError(f"exact value of {_digits(abs(n))} digits exceeds the "
                                   f"{limit}-digit cap on written integers") from None
         yield value
 

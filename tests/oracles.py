@@ -25,9 +25,20 @@ def image_graph(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def stats_from_table(table: np.ndarray) -> dynamics.GraphStats:
     """Decompose a functional graph given its successor table, assuming
-    nothing of it, on the graph image_graph induces on its image: a label's
-    predecessors off the image are its in-degree in the table less its
-    in-degree in g."""
+    nothing of it, by the doubling of dynamics._graph_stats on the graph
+    image_graph induces on its image.  The in-degree-0 vertices are those off
+    the image, each one step farther out than its successor: with outside[l]
+    the predecessors of label l off the image, its in-degree in the table
+    less its in-degree in g, their tails sum to outside @ dist + n - m1.  A
+    label farthest out is cyclic or has all of its predecessors off the
+    image, so the longest tail is dist.max() + 1 when any vertex is off it."""
     image, g = image_graph(table)
-    outside = np.bincount(table, minlength=len(table))[image] - np.bincount(g, minlength=len(g))
-    return dynamics._graph_stats(g, outside, len(table))
+    n, m1 = len(table), len(g)
+    outside = np.bincount(table, minlength=n)[image] - np.bincount(g, minlength=m1)
+    num_cycles, m, dist = dynamics._graph_stats(g)
+    return dynamics.GraphStats(
+        num_cycles=num_cycles,
+        sum_cycle_lengths=m,
+        sum_precyclic_path_lengths=int(outside @ dist) + n - m1,
+        max_tail=int(dist.max()) + 1 if n > m1 else 0,
+    )

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -602,6 +603,45 @@ def test_profile_is_read_only():
         assert not profile.flags.writeable
         with pytest.raises(ValueError):
             profile[0] = 1
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_profile_between_kernels_on_the_shared_work_arrays(N):
+    # _profile counts into the spare work array _iterate left free, and
+    # image_size and the graph stats run on the same arrays; interleaved over
+    # two maps at each of two primes, the larger one past a block seam of the
+    # power table, each result must be that of its own map
+    maps = [poly_map(p, d, A, C) for p, d in ((65539, 3), (1009, 2))
+            for A, C in ((12345 % p, 678), (5, 0))]
+    expected = {f: np.bincount(dynamics.preimage_distribution(f, N).counts) for f in maps}
+    dynamics._profile.cache_clear()
+    for i, f in enumerate(maps + maps[::-1] + maps[::2] + maps[1::2]):
+        calls = [
+            lambda: np.array_equal(dynamics._profile(f, N), expected[f]),
+            lambda: dynamics.image_size(f, N) == f.p - expected[f][0],
+            lambda: dynamics.functional_graph_stats(f) == stats_from_table(dynamics.step_table(f)),
+        ]
+        for call in calls[i % 3:] + calls[: i % 3]:
+            assert call(), (f, N)
+
+
+def test_warm_kernels_allocate_no_array_of_the_domain():
+    # once the work arrays hold one map of a prime, the image, graph and
+    # moment kernels on another map of it allocate nothing of order p: their
+    # peak of fresh allocations stays under 1 byte per residue
+    p = 100003
+
+    def kernels(f):
+        return dynamics.functional_graph_stats(f), dynamics.moment_w(f, 3, 2), dynamics.image_size(f, 3)
+
+    kernels(poly_map(p, 2, 12345, 678))
+    tracemalloc.start()
+    try:
+        kernels(poly_map(p, 2, 54321, 876))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p, peak
 
 
 def test_moments_refuse_negative_depth_and_recover():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import polyiter
-from polyiter import cli, curves, dynamics, lab, recur
+from polyiter import cli, curves, dynamics, lab, recur, report
 from polyiter.dynamics import poly_map
 from polyiter.errors import BudgetError
 from polyiter.field import MAX_MODULUS
@@ -549,3 +550,19 @@ def test_cli_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(lab, "verify_all", lambda desk: failing)
     assert cli.main(["verify", "--quick"]) == 1
     assert "FAIL mu-recursion" in capsys.readouterr().err
+
+
+def test_digit_count_on_either_side_of_powers_of_ten_and_two():
+    # the float log10 is trusted only away from an integer; at 10**k - 1,
+    # 10**k and 10**k + 1 it must fall back to comparing with 10**k
+    for k in (*range(1, 40), 307, 308, 309, 4300, 5000, 20000):
+        for n, digits in ((10**k - 1, k), (10**k, k + 1), (10**k + 1, k + 1)):
+            assert report._digits(n) == digits, n
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for b in (*range(1, 200), 1023, 1024, 1025, 14284, 66439, 66440):
+            for n in (2**b - 1, 2**b, 2**b + 1, 3**b):
+                assert report._digits(n) == len(str(n)), n
+    finally:
+        sys.set_int_max_str_digits(limit)
