@@ -136,7 +136,7 @@ def _run_image(args) -> int:
     _emit([{
         "p": args.p, "d": args.d, "A": args.A, "C": args.C, "N": args.N,
         "image_size": dynamics.image_size(f, args.N),
-        "zero_preimages": dist.zero_count(),
+        "zero_preimages": int((dist == 0).sum()),
         "precondition": dynamics.check_precondition(f, args.N),
     }], args)
     return EXIT_OK
@@ -171,7 +171,7 @@ def _run_mu(args) -> int:
             top = r
             break
         e = d * e + 1
-    levels = writable(recur.mu_sequence(d, top).values)
+    levels = writable(recur.mu_sequence(d, top))
     records = [{"d": d, "r": r, "mu": mu, "mu_decimal": float(mu)} for r, mu in enumerate(levels)]
     _emit(records, args)
     return EXIT_OK

@@ -35,21 +35,6 @@ class OrbitSummary:
 
 
 @dataclass(frozen=True)
-class PreimageDistribution:
-    """counts[m] = number of x in F_p with f^N(x) = m."""
-
-    counts: np.ndarray
-    depth: int
-
-    @property
-    def p(self) -> int:
-        return len(self.counts)
-
-    def zero_count(self) -> int:
-        return int(np.count_nonzero(self.counts == 0))
-
-
-@dataclass(frozen=True)
 class GraphStats:
     """Cycle/tree decomposition summary of the functional graph of f.
 
@@ -260,31 +245,18 @@ def _induced_graph(f: FieldParams) -> tuple[np.ndarray, int]:
     return rank[table[image]], int(rank[f.C])
 
 
-# One entry, like _power_table: every map of a prime's sweep shares it.
-@lru_cache(maxsize=1)
-def _power_image_size(p: int, d: int) -> int:
-    """#{x**d : x in F_p}, counted on a mask of the power table: x**d for
-    x <= p//2, and at odd d also -x**d, the power of p - x."""
-    powers = _power_table(p, d)
-    hit = _work("mask", p, bool)
-    hit.fill(False)
-    hit[powers] = True
-    if d % 2:
-        hit[np.negative(powers)] = True  # numpy reads an index i < 0 as p + i
-    return int(np.count_nonzero(hit))
-
-
 def image_size(f: FieldParams, N: int) -> int:
-    """#f^N(F_p).  y -> A*y + C is a bijection of F_p, so #f(F_p) is the
-    number of d-th powers, counted once per (p, d).  Deeper, #f^N(F_p) =
-    #f^(N-1)(S_1) is the number of values g^(N-1) takes on the graph g
-    induced on S_1 = f(F_p), counted on a mask over its (p-1)/d + 1 labels."""
+    """#f^N(F_p).  As d | p - 1, x -> x**d is d-to-1 on F_p^*, and y -> A*y
+    + C is a bijection of F_p, so #f(F_p) = (p-1)/d + 1 for every A and C.
+    Deeper, #f^N(F_p) = #f^(N-1)(S_1) is the number of values g^(N-1) takes
+    on the graph g induced on S_1 = f(F_p), counted on a mask over its
+    (p-1)/d + 1 labels."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
     if N == 0:
         return f.p
     if N == 1:
-        return _power_image_size(f.p, f.d)
+        return (f.p - 1) // f.d + 1
     g, _ = _induced_graph(f)
     values = _iterate(g, N - 2)
     hit = _work("mask", len(g), bool)
@@ -293,11 +265,11 @@ def image_size(f: FieldParams, N: int) -> int:
     return int(np.count_nonzero(hit))
 
 
-def preimage_distribution(f: FieldParams, N: int) -> PreimageDistribution:
-    arr = apply_map_to_domain(f, N)
-    counts = np.bincount(arr, minlength=f.p)
+def preimage_distribution(f: FieldParams, N: int) -> np.ndarray:
+    """counts[m] = #{x in F_p : f^N(x) = m}, read-only, over the full domain."""
+    counts = np.bincount(apply_map_to_domain(f, N), minlength=f.p)
     counts.setflags(write=False)
-    return PreimageDistribution(counts=counts, depth=N)
+    return counts
 
 
 # One entry, read by every moment of one (map, depth) in a row; it holds

@@ -346,10 +346,11 @@ def enumerate_trees(r: int, k: int, d: int) -> list[IterGraph]:
         raise ValueError("k must be nonnegative")
     if k <= 1:
         return [IterGraph(k=k, r=r, d=d)]
-    shapes = _tree_shapes(k)
     options = _label_options(r, d)
-    if len(shapes) * len(options) ** (k - 1) > ENUMERATION_CAP:
+    # k**(k - 2) labelled trees (Cayley), checked before any shape is built
+    if k ** (k - 2) * len(options) ** (k - 1) > ENUMERATION_CAP:
         raise BudgetError(f"tree label space exceeds enumeration cap {ENUMERATION_CAP}")
+    shapes = _tree_shapes(k)
     out = []
     for shape in shapes:
         # the chains depend on the shape only; one-step chains always pass

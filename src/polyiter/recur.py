@@ -25,18 +25,6 @@ COEFF_TABLE_CAP = 4096
 
 
 @dataclass(frozen=True)
-class MuSequence:
-    d: int
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, r: int) -> Fraction:
-        return self.values[r]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class CoeffTable:
     """v[m] = coefficient of e^(m*X) in the level-r exponential series."""
 
@@ -63,8 +51,9 @@ def _mu_exact_cap(d: int) -> int:
     return r
 
 
-def mu_sequence(d: int, R: int) -> MuSequence:
-    """mu_0 = 1 and d*mu_r = 1 - (1 - mu_{r-1})**d, exact rationals."""
+def mu_sequence(d: int, R: int) -> tuple[Fraction, ...]:
+    """(mu_0, ..., mu_R): mu_0 = 1 and d*mu_r = 1 - (1 - mu_{r-1})**d, exact
+    rationals."""
     if d < 2:
         raise ValueError("degree must be at least 2")
     if R < 0:
@@ -77,7 +66,7 @@ def mu_sequence(d: int, R: int) -> MuSequence:
     values = [Fraction(1)]
     for _ in range(R):
         values.append((1 - (1 - values[-1]) ** d) / d)
-    return MuSequence(d=d, values=tuple(values))
+    return tuple(values)
 
 
 def mu_interval_sequence(d: int, R: int, bits: int = 128) -> list[tuple[int, int]]:

@@ -329,6 +329,17 @@ def test_depth_one_image_for_every_map_of_each_prime_and_degree():
                     assert dynamics.image_size(f, 1) == image_size_oracle(f, 1), (p, d, A, C)
 
 
+@pytest.mark.parametrize("p, d", [(1000003, 2), (1000033, 4)])
+def test_depth_one_image_builds_no_table_and_no_work_array(p, d):
+    # #f(F_p) = (p-1)/d + 1 is the closed form: from empty work arrays and an
+    # empty power-table slot, nothing is built
+    dynamics._WORK.clear()
+    dynamics._power_table.cache_clear()
+    assert dynamics.image_size(poly_map(p, d, 12345, 678), 1) == (p - 1) // d + 1
+    assert dynamics._power_table.cache_info().currsize == 0
+    assert not dynamics._WORK
+
+
 def test_image_size_non_increasing():
     f = poly_map(101, 2, 3, 11)
     sizes = [dynamics.image_size(f, n) for n in range(6)]
@@ -364,11 +375,11 @@ def test_check_precondition():
 
 def test_preimage_distribution():
     dist = dynamics.preimage_distribution(F5, 1)
-    assert dist.counts.tolist() == [2, 1, 2, 0, 0]
-    assert dynamics.preimage_distribution(F5, 0).counts.tolist() == [1] * 5
+    assert dist.tolist() == [2, 1, 2, 0, 0]
+    assert dynamics.preimage_distribution(F5, 0).tolist() == [1] * 5
     dist2 = dynamics.preimage_distribution(F5, 2)
-    assert dist2.counts.tolist() == [2, 2, 1, 0, 0]
-    assert dist2.zero_count() == 2
+    assert dist2.tolist() == [2, 2, 1, 0, 0]
+    assert np.count_nonzero(dist2 == 0) == 2
 
 
 def test_distribution_mass_and_bounds():
@@ -376,8 +387,8 @@ def test_distribution_mass_and_bounds():
         f = poly_map(p, d, 3, 4)
         for n in range(4):
             dist = dynamics.preimage_distribution(f, n)
-            assert int(dist.counts.sum()) == p
-            assert int(dist.counts.max()) <= d**n
+            assert int(dist.sum()) == p
+            assert int(dist.max()) <= d**n
 
 
 def test_moments():
@@ -526,7 +537,7 @@ def test_orbit_matches_hash_oracle(f):
 
 def moment_oracle(f, N, k):
     """The p-term reference loop: W(N, k) straight from the preimage counts."""
-    return sum(int(c) ** k for c in dynamics.preimage_distribution(f, N).counts)
+    return sum(int(c) ** k for c in dynamics.preimage_distribution(f, N))
 
 
 @st.composite
@@ -549,7 +560,7 @@ def test_moment_matches_pointwise_oracle(f, N, k):
 @given(f=small_maps(), N=st.integers(min_value=0, max_value=3))
 def test_zero_count_identity_matches_pointwise_oracle(f, N):
     coeffs = dynamics.q_coeffs(f.d, N)
-    counts = dynamics.preimage_distribution(f, N).counts
+    counts = dynamics.preimage_distribution(f, N)
     direct = int(np.count_nonzero(counts == 0))
     via_q = sum(c * moment_oracle(f, N, k) for k, c in enumerate(coeffs))
     assert dynamics.zero_count_identity(f, N) == (direct, via_q)
@@ -613,7 +624,7 @@ def test_profile_between_kernels_on_the_shared_work_arrays(N):
     # power table, each result must be that of its own map
     maps = [poly_map(p, d, A, C) for p, d in ((65539, 3), (1009, 2))
             for A, C in ((12345 % p, 678), (5, 0))]
-    expected = {f: np.bincount(dynamics.preimage_distribution(f, N).counts) for f in maps}
+    expected = {f: np.bincount(dynamics.preimage_distribution(f, N)) for f in maps}
     dynamics._profile.cache_clear()
     for i, f in enumerate(maps + maps[::-1] + maps[::2] + maps[1::2]):
         calls = [

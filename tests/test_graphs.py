@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 from collections import Counter
 from itertools import combinations, permutations, product
 
@@ -280,6 +281,26 @@ def test_enumeration_matches_u_counts():
 def test_enumeration_cap():
     with pytest.raises(BudgetError):
         graphs.enumerate_complete_proper(3, 5, 3)
+
+
+def test_tree_cap_refuses_before_any_shape_is_built(monkeypatch, capsys):
+    # the cap reads Cayley's count k**(k - 2) of labelled trees, the number of
+    # Pruefer shapes, so it refuses the same inputs without building them: at
+    # k = 9 there would be 9**7 shapes
+    for k in range(2, 8):
+        assert len(graphs._tree_shapes(k)) == k ** (k - 2)
+
+    def no_shapes(k):
+        raise AssertionError(f"tree shapes built at k={k}")
+
+    monkeypatch.setattr(graphs, "_tree_shapes", no_shapes)
+    capsys.readouterr()
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        graphs.enumerate_trees(0, 9, 2)
+    assert cli.main(["enum-graphs", "--trees", "--d", "2", "--r", "0", "--k", "9"]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == ""
 
 
 def test_enumerate_trees():

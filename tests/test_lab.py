@@ -46,6 +46,19 @@ def test_sweep_theorem_depth_one_closed_form():
     assert summary["literal_bound_log10_scale"] == 2**6 * math.log10(2)
 
 
+def test_depth_one_theorem_sweep_builds_no_power_table():
+    # image_size(f, 1) is the closed form and the precondition walks the
+    # orbit of 0, so a depth-1 theorem sweep computes no power of any residue
+    dynamics._power_table.cache_clear()
+    records, _ = lab.sweep_theorem(lab.SweepConfig(
+        d=4, N=1, p_min=1000, p_max=1100, per_prime=20, seed=20260808,
+        require_precondition=True))
+    assert records
+    assert all(rec["image_size"] == (rec["p"] - 1) // 4 + 1 for rec in records)
+    info = dynamics._power_table.cache_info()
+    assert (info.misses, info.currsize) == (0, 0)
+
+
 def test_sweep_theorem_depth_two_example():
     records, _ = lab.sweep_theorem(lab.SweepConfig(
         d=2, N=2, p_min=5, p_max=5, policy="all"))
@@ -497,6 +510,14 @@ def test_cli_exit_codes(capsys):
     start = time.perf_counter()
     assert cli.main(["sweep", "--d", "2", "--p-min", "3", "--p-max", "2147483647"]) == 3
     assert time.perf_counter() - start < 1
+    # budget exceeded: --policy all over the 29 primes of 1000-1400 with d | p - 1
+    # is 40,838,260 pairs, refused before any map runs and with nothing written
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.main(["sweep", "--mode", "graph", "--d", "4", "--N", "1", "--p-min", "1000",
+                     "--p-max", "1400", "--policy", "all"]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == ""
     # budget exceeded, refused before the values past the cap are computed or
     # any is converted to text: W(1, k) = 1 + 2**(k + 1) of x**2 at p = 5 has
     # 4301 digits from k = 14284 on, past CPython's cap on writing an int as
