@@ -248,15 +248,33 @@ def _induced_graph(f: FieldParams) -> tuple[np.ndarray, int]:
 def image_size(f: FieldParams, N: int) -> int:
     """#f^N(F_p).  As d | p - 1, x -> x**d is d-to-1 on F_p^*, and y -> A*y
     + C is a bijection of F_p, so #f(F_p) = (p-1)/d + 1 for every A and C.
-    Deeper, #f^N(F_p) = #f^(N-1)(S_1) is the number of values g^(N-1) takes
-    on the graph g induced on S_1 = f(F_p), counted on a mask over its
-    (p-1)/d + 1 labels."""
+
+    At d = 2, N = 2 it is a closed form too.  For C = 0, f^2 = A**3 * x**4
+    takes (p-1)/gcd(4, p-1) + 1 values.  Otherwise, in the normal form
+    x**2 + c, c = A*C != 0 (see _induced_graph), it counts the classes +-z
+    of Z = c + squares: (p+1)/2 less half the z != 0 with z and -z in Z.
+    With chi the Legendre symbol, that count is a sum of chi(z-c)*chi(-z-c),
+    the Jacobi sum -chi(-1), plus the ends z = +-c and z = 0, so #f^2(F_p)
+    = (3p + 4 + chi(-1) + 2*chi(-c) - 2*chi(-2c))/8.  The last two cancel
+    when chi(2) = 1, p = +-1 mod 8, and add to 4*chi(-c) when p = +-3 mod 8.
+
+    Deeper, and at any other d, #f^N(F_p) = #f^(N-1)(S_1) is the number of
+    values g^(N-1) takes on the graph g induced on S_1 = f(F_p), counted on a
+    mask over its (p-1)/d + 1 labels."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
     if N == 0:
         return f.p
     if N == 1:
         return (f.p - 1) // f.d + 1
+    if f.d == 2 and N == 2:
+        p = f.p
+        if f.C == 0:
+            return (p - 1) // math.gcd(4, p - 1) + 1
+        terms = 4 + (1 if p % 4 == 1 else -1)
+        if p % 8 in (3, 5):
+            terms += 4 if pow(-f.A * f.C % p, (p - 1) // 2, p) == 1 else -4
+        return (3 * p + terms) // 8
     g, _ = _induced_graph(f)
     values = _iterate(g, N - 2)
     hit = _work("mask", len(g), bool)

@@ -16,6 +16,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import BudgetError
 
@@ -57,22 +58,49 @@ def writable(values: Iterable) -> Iterator:
         yield value
 
 
+# Cell types the csv module writes as their str() unaided: str, int and float
+# (whose str is its repr).  The check is on the exact type, so bool, an int
+# the csv module would write as True, goes through _cell, as do numpy scalars.
+_RAW = {int, float, str}
+
+
+def _csv(records: list[dict], fieldnames: list[str]) -> str:
+    """The CSV text, a column at a time: a column of raw cells goes to the
+    writer as it is, any other through _cell."""
+    columns = [list(map(itemgetter(name), records)) for name in fieldnames]
+    cells = [col if set(map(type, col)) <= _RAW else list(map(_cell, col)) for col in columns]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows(zip(*cells) if cells else [()] * len(records))
+    return buf.getvalue()
+
+
+def _json(records: list[dict], fieldnames: list[str], metadata: dict | None) -> str:
+    """The text of json.dumps({"metadata": ..., "records": ...}, indent=2,
+    default=_ratio) with the records written by the C encoder: with scalar
+    values, a record's lines at indent 2 are those of its one-line form with
+    each item separator followed by a newline and that indent."""
+    head = json.dumps({"metadata": metadata or {}, "records": []}, indent=2, default=_ratio)
+    if not records:
+        return head + "\n"
+    encode = json.JSONEncoder(separators=(",\n      ", ": "), default=_ratio).encode
+    items = (encode({name: rec[name] for name in fieldnames})[1:-1] for rec in records)
+    body = ",\n".join(f"    {{\n      {item}\n    }}" if item else "    {}" for item in items)
+    return head.removesuffix("[]\n}") + f"[\n{body}\n  ]\n}}\n"
+
+
 def render_records(records: list[dict], fieldnames: list[str], fmt: str,
                    metadata: dict | None = None) -> str:
+    """records as CSV (a header row of fieldnames) or as JSON (an object of
+    metadata and the records), each record written as its fields in order.
+    Values are scalars: bool, int, float, str, Fraction, None, or a numpy
+    scalar in CSV."""
     try:
         if fmt == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(fieldnames)
-            for rec in records:
-                writer.writerow([_cell(rec[name]) for name in fieldnames])
-            return buf.getvalue()
+            return _csv(records, fieldnames)
         if fmt == "json":
-            payload = {
-                "metadata": metadata or {},
-                "records": [{name: rec[name] for name in fieldnames} for rec in records],
-            }
-            return json.dumps(payload, indent=2, default=_ratio) + "\n"
+            return _json(records, fieldnames, metadata)
     except ValueError:
         for _ in writable(rec[name] for rec in records for name in fieldnames):
             pass

@@ -1,9 +1,14 @@
 """Reference paths shared by the test modules and the CI steps."""
 
+import csv
+import io
+import json
+
 import numpy as np
 
 from polyiter import dynamics
 from polyiter.field import FieldParams
+from polyiter.report import _cell, _ratio
 
 
 def eval_map(f: FieldParams, x: int) -> int:
@@ -42,3 +47,24 @@ def stats_from_table(table: np.ndarray) -> dynamics.GraphStats:
         sum_precyclic_path_lengths=int(outside @ dist) + n - m1,
         max_tail=int(dist.max()) + 1 if n > m1 else 0,
     )
+
+
+def render_csv(records: list[dict], fieldnames: list[str]) -> str:
+    """The CSV text of records, a row at a time with every cell through
+    report._cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    for rec in records:
+        writer.writerow([_cell(rec[name]) for name in fieldnames])
+    return buf.getvalue()
+
+
+def render_json(records: list[dict], fieldnames: list[str], metadata: dict | None) -> str:
+    """The JSON text of records, the whole payload by json.dumps with
+    indent=2, CPython's pure-Python encoder."""
+    payload = {
+        "metadata": metadata or {},
+        "records": [{name: rec[name] for name in fieldnames} for rec in records],
+    }
+    return json.dumps(payload, indent=2, default=_ratio) + "\n"

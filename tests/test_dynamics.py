@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from polyiter import curves, dynamics
 from polyiter.dynamics import poly_map
 from polyiter.errors import BudgetError
-from polyiter.field import is_prime
+from polyiter.field import FieldParams, is_prime
 
 from oracles import eval_map, stats_from_table
 
@@ -338,6 +338,53 @@ def test_depth_one_image_builds_no_table_and_no_work_array(p, d):
     assert dynamics.image_size(poly_map(p, d, 12345, 678), 1) == (p - 1) // d + 1
     assert dynamics._power_table.cache_info().currsize == 0
     assert not dynamics._WORK
+
+
+# p = 1000003 is 3 mod 8 and 1000033 is 1 mod 8, so both branches of the d = 2
+# depth-2 closed form show, and C = 0 its monomial case with gcd(4, p - 1) = 2, 4
+@pytest.mark.parametrize("p, C", [(1000003, 678), (1000033, 678), (1000003, 0), (1000033, 0)])
+def test_depth_two_image_at_degree_two_builds_no_table_and_no_work_array(p, C):
+    dynamics._WORK.clear()
+    dynamics._power_table.cache_clear()
+    f = poly_map(p, 2, 12345, C)
+    image = dynamics.image_size(f, 2)
+    assert dynamics._power_table.cache_info().currsize == 0
+    assert not dynamics._WORK
+    assert image == image_size_oracle(f, 2)
+
+
+def depth_two_images(p: int, A: int) -> np.ndarray:
+    """#f^2(F_p) of A*x**2 + C for every C at once, on the full domain: row C
+    of the (C, x) grid holds f^2(x), and the values a row takes are marked."""
+    C = np.arange(p)[:, None]
+    squares = np.arange(p) ** 2 % p
+    once = (A * squares + C) % p
+    twice = (A * squares[once] + C) % p
+    hit = np.zeros((p, p), dtype=bool)
+    hit[C, twice] = True
+    return np.count_nonzero(hit, axis=1)
+
+
+def test_depth_two_image_at_degree_two_for_every_map_of_each_odd_prime_below_200():
+    for p in (q for q in range(3, 200) if is_prime(q)):
+        for A in range(1, p):
+            expected = depth_two_images(p, A).tolist()
+            assert [dynamics.image_size(FieldParams(p, 2, A, C), 2) for C in range(p)] == expected, (p, A)
+
+
+# 2**31 - 1 is 7 mod 8; 2147483629 is 5 mod 8, where the sign of chi(-A*C) counts
+@pytest.mark.parametrize("p", [2147483647, 2147483629])
+def test_depth_two_image_at_degree_two_near_the_modulus_cap_allocates_nothing(p, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("array allocated")
+
+    monkeypatch.setattr(dynamics, "_work", refused)
+    monkeypatch.setattr(np, "empty", refused)
+    for A, C in ((1, 1), (12345, 678), (p - 1, 3), (5, 0), (7, p - 2)):
+        image = dynamics.image_size(poly_map(p, 2, A, C), 2)
+        # 3p/8 - 1/8 <= image <= 3p/8 + 9/8 off C = 0, the density mu_2 = 3/8 of the paper
+        assert -1 <= 8 * image - 3 * p <= 9 or C == 0, (A, C)
+        assert C or image == (p - 1) // math.gcd(4, p - 1) + 1
 
 
 def test_image_size_non_increasing():

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polyiter
 from polyiter import cli, curves, dynamics, lab, recur, report
@@ -15,6 +17,8 @@ from polyiter.dynamics import poly_map
 from polyiter.errors import BudgetError
 from polyiter.field import MAX_MODULUS
 from polyiter.report import render_records
+
+from oracles import render_csv, render_json
 
 
 def theorem_cfg(**overrides):
@@ -55,6 +59,20 @@ def test_depth_one_theorem_sweep_builds_no_power_table():
         require_precondition=True))
     assert records
     assert all(rec["image_size"] == (rec["p"] - 1) // 4 + 1 for rec in records)
+    info = dynamics._power_table.cache_info()
+    assert (info.misses, info.currsize) == (0, 0)
+
+
+def test_depth_two_theorem_sweep_at_degree_two_builds_no_power_table():
+    # at d = 2 image_size(f, 2) is the closed form in one Legendre symbol, so
+    # the sweep computes no power of any residue, and every image lies within
+    # 9/8 of mu_2 * p = 3p/8
+    dynamics._power_table.cache_clear()
+    records, _ = lab.sweep_theorem(lab.SweepConfig(
+        d=2, N=2, p_min=1000, p_max=1100, per_prime=20, seed=20260808,
+        require_precondition=True))
+    assert records
+    assert all(-1 <= 8 * rec["image_size"] - 3 * rec["p"] <= 9 for rec in records)
     info = dynamics._power_table.cache_info()
     assert (info.misses, info.currsize) == (0, 0)
 
@@ -202,6 +220,108 @@ def test_render_json_shape():
     assert payload["records"] == [{"p": 5, "x": 1.5}]
     with pytest.raises(ValueError):
         render_records(records, ["p"], "xml")
+
+
+# Every kind of cell render_records is given: the raw int, float and str that
+# the csv module writes unaided, and bool, Fraction, None and numpy scalars
+# that go through report._cell.  Text holds the characters CSV quotes.
+CELLS = {
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "float": st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    "fraction": st.fractions(),
+    "str": st.text(alphabet=st.characters() | st.sampled_from(',"\n\r '), max_size=8),
+    "none": st.none(),
+    "numpy": (st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
+              | st.builds(np.float64, st.floats()) | st.builds(np.bool_, st.booleans())),
+}
+MIXED = st.one_of(*CELLS.values())
+
+
+@st.composite
+def record_sets(draw):
+    """(records, fieldnames): each column of one kind of cell or of any mix."""
+    names = draw(st.lists(st.text(max_size=4), unique=True, max_size=5))
+    kinds = [draw(st.sampled_from([*CELLS.values(), MIXED])) for _ in names]
+    n = draw(st.integers(min_value=0, max_value=6))
+    records = [{name: draw(kind) for name, kind in zip(names, kinds)} for _ in range(n)]
+    return records, names
+
+
+def rendered(render, *args):
+    """render(*args), or which refusal it raised: an int too long for CPython
+    to write is a ValueError in the oracles and a BudgetError in
+    render_records, and a value JSON cannot write a TypeError in both."""
+    try:
+        return render(*args)
+    except (ValueError, BudgetError):
+        return "too long"
+    except TypeError:
+        return "not writable"
+
+
+METADATA = st.none() | st.dictionaries(
+    st.text(max_size=4),
+    st.recursive(st.integers() | st.floats() | st.text(max_size=4) | st.booleans() | st.none(),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6),
+    max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=record_sets(), metadata=METADATA)
+@example(case=([{"v": 2.5, "s": "a,b"}, {"v": -0.0, "s": '"q"\n'}], ["v", "s"]), metadata=None)
+@example(case=([{}, {}], []), metadata={})
+@example(case=([{"v": 10**4400}], ["v"]), metadata={"seed": 1})
+@example(case=([{"v": np.float64(0.1)}, {"v": np.int64(3)}], ["v"]), metadata={"m": [1, {}]})
+def test_render_records_matches_the_per_cell_oracles(case, metadata):
+    # the column-wise CSV and the C-encoded JSON records against the per-cell
+    # writer and json.dumps(indent=2) of the whole payload, byte for byte or
+    # the same refusal
+    records, names = case
+    csv_text = rendered(render_records, records, names, "csv")
+    json_text = rendered(render_records, records, names, "json", metadata)
+    expected_csv = rendered(render_csv, records, names)
+    expected_json = rendered(render_json, records, names, metadata)
+    assert csv_text == expected_csv
+    assert json_text == expected_json
+
+
+def scalar(value) -> bool:
+    return type(value) in (bool, int, float, str, Fraction, type(None))
+
+
+def test_every_sweep_and_cli_record_field_is_a_scalar(monkeypatch, capsys, tmp_path):
+    # the JSON records are written by the C encoder with one item separator
+    # for every level, which is the indented layout only for scalar values
+    seen = []
+
+    def capture(records, fieldnames, fmt, metadata=None):
+        seen.append((fieldnames, records))
+        return render_records(records, fieldnames, fmt, metadata)
+
+    monkeypatch.setattr(cli, "render_records", capture)
+    map_args = ["--p", "13", "--d", "2", "--A", "3", "--C", "5"]
+    commands = [
+        ["orbit", *map_args],
+        ["image", *map_args, "--N", "2"],
+        ["moments", *map_args, "--N", "2", "--k", "3"],
+        ["mu", "--d", "2", "--r", "3"],
+        ["ucount", "--d", "2", "--r", "1", "--k", "3"],
+        ["curves", *map_args, "--N", "1", "--k", "2"],
+        ["decomp", *map_args, "--N", "1", "--k", "2"],
+        *(["sweep", "--mode", mode, "--d", "2", "--N", "2", "--p-min", "5", "--p-max", "30",
+           "--per-prime", "2", "--format", "json", "--out", str(tmp_path / f"{mode}.json")]
+          for mode in ("theorem", "collision", "graph")),
+    ]
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert len(seen) == len(commands)
+    for fieldnames, records in seen:
+        assert records
+        for rec in records:
+            assert all(scalar(rec[name]) for name in fieldnames), rec
 
 
 def test_mu_v_consistency_fault_injection(monkeypatch):
