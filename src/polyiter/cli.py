@@ -132,11 +132,10 @@ def _run_orbit(args) -> int:
 
 def _run_image(args) -> int:
     f = poly_map(args.p, args.d, args.A, args.C)
-    dist = dynamics.preimage_distribution(f, args.N)
+    size = dynamics.image_size(f, args.N)
     _emit([{
         "p": args.p, "d": args.d, "A": args.A, "C": args.C, "N": args.N,
-        "image_size": dynamics.image_size(f, args.N),
-        "zero_preimages": int((dist == 0).sum()),
+        "image_size": size, "zero_preimages": args.p - size,
         "precondition": dynamics.check_precondition(f, args.N),
     }], args)
     return EXIT_OK

@@ -334,54 +334,39 @@ def _power_sum(profile: np.ndarray, k: int) -> int:
     return sum(int(n) * j**k for j, n in enumerate(profile))
 
 
-def _orbit_step(f: FieldParams) -> tuple[int, int, int, int, bool]:
-    """(p, d, A, C, sq) for stepping y -> (A * y**d + C) % p from 0, with y*y
-    in place of pow when sq.  At d = 2 they are those of the normal form
-    y**2 + A*C (see _induced_graph): x -> A*x fixes 0, so the tail, the cycle
-    and the distinctness of the orbit of 0 are the same."""
-    if f.d == 2:
-        return f.p, 2, 1, f.A * f.C % f.p, True
-    return f.p, f.d, f.A, f.C, False
+def _first_repeat(f: FieldParams, limit: int) -> tuple[int, int] | None:
+    """(tail, collision index) of the orbit 0, f(0), f**2(0), ...: its first
+    repeat f**index(0) equals f**tail(0).  None once limit + 1 terms are
+    pairwise distinct.  Each term is kept with its index, so memory is
+    O(min(collision index, limit + 1)).  At d = 2 it steps the normal form
+    y**2 + A*C (see _induced_graph): x -> A*x fixes 0, so the orbit's tail
+    and collision index are the same.  The step is inlined on locals, since
+    a call per step costs more than it."""
+    p, d, A, C = f.p, f.d, f.A, f.C
+    sq = d == 2
+    if sq:
+        A, C = 1, A * C % p
+    seen: dict[int, int] = {}
+    y = 0
+    while y not in seen:
+        seen[y] = len(seen)
+        if len(seen) > limit:
+            return None
+        y = (A * (y * y if sq else pow(y, d, p)) + C) % p
+    return seen[y], len(seen)
 
 
 def orbit_of_zero(f: FieldParams) -> OrbitSummary:
-    """Brent's scheme: power-of-two teleports find the period, then a
-    synchronized scan finds the tail.  Constant memory; the step is
-    inlined on locals, since a call per step costs more than it."""
-    p, d, A, C, sq = _orbit_step(f)
-    power = lam = 1
-    tortoise, hare = 0, C % p  # f(0)
-    while tortoise != hare:
-        if power == lam:
-            tortoise = hare
-            power *= 2
-            lam = 0
-        hare = (A * (hare * hare if sq else pow(hare, d, p)) + C) % p
-        lam += 1
-    tortoise = hare = 0
-    for _ in range(lam):
-        hare = (A * (hare * hare if sq else pow(hare, d, p)) + C) % p
-    mu = 0
-    while tortoise != hare:
-        tortoise = (A * (tortoise * tortoise if sq else pow(tortoise, d, p)) + C) % p
-        hare = (A * (hare * hare if sq else pow(hare, d, p)) + C) % p
-        mu += 1
-    return OrbitSummary(tail_len=mu, cycle_len=lam)
+    """The first repeat walk, which ends within (p - 1)/d + 2 steps."""
+    tail, index = _first_repeat(f, f.p)
+    return OrbitSummary(tail_len=tail, cycle_len=index - tail)
 
 
 def check_precondition(f: FieldParams, N: int) -> bool:
-    """True iff 0, f(0), ..., f^N(0) are pairwise distinct."""
+    """True iff 0, f(0), ..., f^N(0) are pairwise distinct: collision index > N."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
-    p, d, A, C, sq = _orbit_step(f)
-    seen = set()
-    x = 0
-    for _ in range(N + 1):
-        if x in seen:
-            return False
-        seen.add(x)
-        x = (A * (x * x if sq else pow(x, d, p)) + C) % p
-    return True
+    return _first_repeat(f, N) is None
 
 
 @lru_cache(maxsize=None)

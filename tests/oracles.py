@@ -16,6 +16,29 @@ def eval_map(f: FieldParams, x: int) -> int:
     return (f.A * pow(x % f.p, f.d, f.p) + f.C) % f.p
 
 
+def brent_orbit(f: FieldParams) -> tuple[int, int]:
+    """(tail, cycle length) of the orbit of 0 by Brent's cycle finder (BIT 20,
+    1980), stepping f itself in constant memory: power-of-two teleports of
+    the tortoise find the period, then a synchronized scan finds the tail."""
+    power = lam = 1
+    tortoise, hare = 0, eval_map(f, 0)
+    while tortoise != hare:
+        if power == lam:
+            tortoise = hare
+            power *= 2
+            lam = 0
+        hare = eval_map(f, hare)
+        lam += 1
+    tortoise = hare = 0
+    for _ in range(lam):
+        hare = eval_map(f, hare)
+    mu = 0
+    while tortoise != hare:
+        tortoise, hare = eval_map(f, tortoise), eval_map(f, hare)
+        mu += 1
+    return mu, lam
+
+
 def image_graph(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(image, g) for any successor table: its image in ascending order,
     read off a hit mask, and the graph g the table induces on it, labelled

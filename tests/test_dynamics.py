@@ -13,7 +13,7 @@ from polyiter.dynamics import poly_map
 from polyiter.errors import BudgetError
 from polyiter.field import FieldParams, is_prime
 
-from oracles import eval_map, stats_from_table
+from oracles import brent_orbit, eval_map, stats_from_table
 
 F5 = poly_map(5, 2, 1, 1)
 
@@ -52,6 +52,15 @@ def apply_map_oracle(f, N):
 
 
 PRIMES_TO_300 = [q for q in range(3, 301) if all(q % i for i in range(2, q))]
+
+
+@st.composite
+def coefficients_to_300(draw):
+    """(p, A, C) for primes p <= 300, for tests that run every d | p - 1."""
+    p = draw(st.sampled_from(PRIMES_TO_300))
+    A = draw(st.integers(min_value=1, max_value=p - 1))
+    C = draw(st.integers(min_value=0, max_value=p - 1))
+    return p, A, C
 
 
 @st.composite
@@ -100,6 +109,7 @@ EXPLICIT_DEPTHS = (0, 1, 2, 3, *(2**j + i for j in range(2, 12) for i in range(3
 @example(f=F5, N=0)
 @example(f=poly_map(257, 256, 3, 5), N=2)
 @example(f=poly_map(293, 2, 1, 0), N=3000)
+@example(f=poly_map(283, 2, 3, 5), N=2)  # p = 3 mod 8: the depth-2 closed form reads the sign of -A*C
 @example(f=poly_map(271, 3, 5, 7), N=1024)  # odd d: S_1 labelled through rank
 @example(f=poly_map(293, 4, 3, 1), N=2049)
 def test_image_size_matches_pass_loop(f, N):
@@ -563,23 +573,47 @@ def test_source_paths_cover_every_noncyclic_vertex():
 
 
 @settings(max_examples=150, deadline=None)
-@given(f=maps_to_300())
-@example(f=poly_map(293, 2, 17, 0))  # C = 0: 0 is a fixed point
-@example(f=poly_map(293, 2, 292, 5))  # A = p - 1
-@example(f=poly_map(293, 2, 292, 0))
-@example(f=poly_map(3, 2, 1, 1))
-@example(f=poly_map(3, 2, 2, 2))
-@example(f=poly_map(3, 2, 2, 0))
-def test_orbit_matches_hash_oracle(f):
-    # at d = 2 the orbit and the precondition walk the normal form
-    # y**2 + A*C, the conjugate of f by x -> A*x; the oracles walk f itself
+@given(pac=coefficients_to_300())
+@example(pac=(293, 17, 0))  # C = 0: 0 is a fixed point
+@example(pac=(293, 292, 5))  # A = p - 1
+@example(pac=(293, 292, 0))
+@example(pac=(3, 1, 1))
+@example(pac=(3, 2, 2))
+@example(pac=(3, 2, 0))
+def test_orbit_matches_hash_oracle(pac):
+    # at d = 2 the walker steps the normal form y**2 + A*C, the conjugate of
+    # f by x -> A*x; both oracles walk f itself, at every d | p - 1
+    p, A, C = pac
+    for d in (d for d in range(2, p) if (p - 1) % d == 0):
+        g = poly_map(p, d, A, C)
+        orbit = dynamics.orbit_of_zero(g)
+        assert (orbit.tail_len, orbit.cycle_len) == brute_orbit(g) == brent_orbit(g), d
+        iterates = [0]
+        for N in range(orbit.collision_index + 3):
+            held = dynamics.check_precondition(g, N)
+            assert held == (N < orbit.collision_index) == (len(set(iterates)) == N + 1), (d, N)
+            iterates.append(eval_map(g, iterates[-1]))
+
+
+@pytest.mark.parametrize("d, expected", [(2, (4916, 35666)), (3, (39310, 3389))])
+def test_orbit_at_the_modulus_cap(d, expected):
+    # p = 2**31 - 1: the walker holds one dict entry per term, about 90 bytes
+    # each, 3.57 MiB over the 40,582 terms at d = 2, and a precondition walk
+    # holds at most N + 1 terms
+    f = poly_map(2**31 - 1, d, 12345, 678)
+    tracemalloc.start()
     orbit = dynamics.orbit_of_zero(f)
-    assert (orbit.tail_len, orbit.cycle_len) == brute_orbit(f)
-    iterates = [0]
-    for N in range(orbit.collision_index + 3):
-        held = dynamics.check_precondition(f, N)
-        assert held == (N < orbit.collision_index) == (len(set(iterates)) == N + 1), N
-        iterates.append(eval_map(f, iterates[-1]))
+    walk_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.reset_peak()
+    assert dynamics.check_precondition(f, 100)
+    limit_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (orbit.tail_len, orbit.cycle_len) == brute_orbit(f) == brent_orbit(f)
+    assert (orbit.tail_len, orbit.cycle_len) == expected
+    index = orbit.collision_index
+    assert dynamics.check_precondition(f, index - 1)
+    assert not dynamics.check_precondition(f, index)
+    assert walk_peak < 128 * index and limit_peak < 128 * 101
 
 
 def moment_oracle(f, N, k):

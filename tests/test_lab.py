@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -384,6 +385,26 @@ def test_cli_image_json(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["records"][0]["image_size"] == 3
+
+
+def test_cli_image_counts_without_the_full_domain_histogram(capsys):
+    # zero_preimages is p - image_size: at d = 2, N = 2 the command runs the
+    # closed form and a 3-term walk, with no array of length p
+    argv = ["image", "--p", "1000003", "--d", "2", "--A", "12345", "--C", "678", "--N", "2"]
+    tracemalloc.start()
+    code = cli.main(argv)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 0 and peak < 2**20
+    assert capsys.readouterr().out.splitlines()[1] == "1000003,2,12345,678,2,375002,625001,true"
+    # against the full-domain count
+    for d, N in ((2, 1), (2, 3), (4, 2), (5, 4)):
+        f = poly_map(101, d, 3, 7)
+        assert cli.main(["image", "--p", "101", "--d", str(d), "--A", "3", "--C", "7",
+                         "--N", str(N), "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)["records"][0]
+        zeros = int(np.count_nonzero(dynamics.preimage_distribution(f, N) == 0))
+        assert (record["zero_preimages"], record["image_size"]) == (zeros, 101 - zeros)
 
 
 def test_cli_mu(capsys):
