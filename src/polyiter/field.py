@@ -24,15 +24,6 @@ MODULUS_TOO_LARGE = "modulus_too_large"
 
 
 @dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
 class FieldParams:
     """Validated parameter bundle (p, d, A, C) of the map A*x^d + C."""
 
@@ -58,19 +49,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def validate_params(p: int, d: int, A: int) -> ValidationResult:
-    """Gate for (p, d, A): p prime, d >= 2, d | p-1, A nonzero mod p."""
+def validate_params(p: int, d: int, A: int) -> str | None:
+    """Gate for (p, d, A): p prime, d >= 2, d | p-1, A nonzero mod p.  Returns
+    the reason constant of the first condition that fails, or None."""
     if p >= MAX_MODULUS:
-        return ValidationResult(False, MODULUS_TOO_LARGE)
+        return MODULUS_TOO_LARGE
     if not is_prime(p):
-        return ValidationResult(False, NOT_PRIME)
+        return NOT_PRIME
     if d < 2:
-        return ValidationResult(False, DEGREE_TOO_SMALL)
+        return DEGREE_TOO_SMALL
     if (p - 1) % d != 0:
-        return ValidationResult(False, DEGREE_NOT_DIVIDING)
+        return DEGREE_NOT_DIVIDING
     if A % p == 0:
-        return ValidationResult(False, ZERO_LEADING_COEFFICIENT)
-    return ValidationResult(True)
+        return ZERO_LEADING_COEFFICIENT
+    return None
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -120,7 +112,7 @@ def primitive_dth_root(p: int, d: int) -> int:
 
 def field_params(p: int, d: int, A: int, C: int) -> FieldParams:
     """Validate (p, d, A) and reduce A and C mod p."""
-    result = validate_params(p, d, A)
-    if not result.ok:
-        raise ValueError(f"invalid parameters (p={p}, d={d}, A={A}): {result.reason}")
+    reason = validate_params(p, d, A)
+    if reason is not None:
+        raise ValueError(f"invalid parameters (p={p}, d={d}, A={A}): {reason}")
     return FieldParams(p=p, d=d, A=A % p, C=C % p)

@@ -41,11 +41,12 @@ GRAPH_FIELDS = [
 # workload sweeps, 1000-10000, costs 9.0e5.
 PRIME_SEARCH_CAP = 10**9
 
-# Cap on the (A, C) pairs of a policy "all" sweep, sum of p * (p - 1) over its
-# primes, checked before any map runs: every pair is a record held in memory.
-# The widest such sweep a test pins is 2,266 pairs, and p = 401 alone is
-# 160,400; d = 4 over 1000-1400 would be 40,838,260.
-POLICY_ALL_PAIR_CAP = 10**6
+# Cap on the records a sweep can hold, checked before any map runs: sum of
+# p * (p - 1) over the primes under policy "all", per_prime times their number
+# under "random".  The widest "all" sweep a test pins is 2,266 pairs, and
+# p = 401 alone is 160,400; d = 4 over 1000-1400 would be 40,838,260.  The
+# widest random sweep verify or a benchmark workload runs is 20 * 501 primes.
+SWEEP_RECORD_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -92,17 +93,20 @@ def _sweep(
     the rejected share of the drawn pairs.
 
     per_prime(p) returns the mode's per-map function, which gives a record's
-    fields after p, d, A and C.  Policy "all" walks every pair, and is
-    refused up front past POLICY_ALL_PAIR_CAP pairs; "random"
+    fields after p, d, A and C.  Policy "all" walks every pair; "random"
     draws from the seeded per-prime stream until per_prime pairs are
     admitted or 100 * per_prime pairs are drawn.  With require_precondition,
-    failing pairs are rejected (and counted) rather than recorded.
+    failing pairs are rejected (and counted) rather than recorded.  A sweep
+    that could hold more than SWEEP_RECORD_CAP records is refused up front.
     """
     primes = primes_with_degree(cfg.p_min, cfg.p_max, cfg.d)
-    total = sum(p * (p - 1) for p in primes)
-    if cfg.policy == "all" and total > POLICY_ALL_PAIR_CAP:
-        raise BudgetError(f"policy all over {len(primes)} primes is {total} pairs, "
-                          f"cap {POLICY_ALL_PAIR_CAP}")
+    if cfg.policy == "all":
+        most = sum(p * (p - 1) for p in primes)
+    else:
+        most = cfg.per_prime * len(primes)
+    if most > SWEEP_RECORD_CAP:
+        raise BudgetError(f"policy {cfg.policy} over {len(primes)} primes holds up to "
+                          f"{most} records, cap {SWEEP_RECORD_CAP}")
     records = []
     drawn = rejected = 0
     for p in primes:
@@ -259,12 +263,6 @@ def check_mu_v_consistency(d: int, r_max: int) -> str:
     return f"d={d} up to r={r_max}"
 
 
-def _check_mu_v_all() -> str:
-    for d, r_max in ((2, 6), (3, 4)):
-        check_mu_v_consistency(d, r_max)
-    return "d=2 up to r=6, d=3 up to r=4"
-
-
 def _tuple_count_oracle(arr: np.ndarray, k: int) -> int:
     """Literal enumeration of k-tuples with equal entries of arr."""
     eq = np.equal.outer(arr, arr)
@@ -299,8 +297,9 @@ def _moment_matrix(desk: bool) -> list[tuple[int, int, list[tuple[int, int]]]]:
 
 def check_moment_identities(desk: bool = True) -> str:
     """Mass conservation, the image-set preimage profile against the
-    full-domain histogram, moment/tuple-count agreement, the exact depth-1
-    image formula, and the factorial-polynomial zero-count identity."""
+    full-domain histogram, moment/tuple-count agreement, the image size
+    against the full-domain unhit count, and the factorial-polynomial
+    zero-count identity."""
     for p, d, pairs in _moment_matrix(desk):
         for A, C in pairs:
             f = poly_map(p, d, A, C)
@@ -326,8 +325,6 @@ def check_moment_identities(desk: bool = True) -> str:
                 image = dynamics.image_size(f, N)
                 _require(image == p - direct and image == p - np.count_nonzero(dist == 0),
                          f"image != p - unhit count at {at}")
-            _require(dynamics.image_size(f, 1) == (p - 1) // d + 1,
-                     f"depth-1 image formula p={p} d={d}")
     return "matrix complete"
 
 
@@ -400,17 +397,25 @@ def check_recursion_values() -> str:
 
 
 def check_q_bounds() -> str:
+    """1/mu_r >= (d-1)*r/2 + 1, and 1/mu_r - 1/mu_(r-1) >= (d-1)/2 for r >= 1,
+    compared exactly."""
     for d, R in ((2, 12), (3, 8), (4, 6)):
-        _require(recur.q_bound_check(d, R), f"linear lower bound fails for d={d}")
-        _require(recur.q_increment_check(d, R), f"increment bound fails for d={d}")
+        half = Fraction(d - 1, 2)
+        q = [1 / mu for mu in recur.mu_sequence(d, R)]
+        for r in range(R + 1):
+            _require(q[r] >= half * r + 1, f"linear lower bound fails at (d={d}, r={r})")
+            _require(r == 0 or q[r] - q[r - 1] >= half, f"increment bound fails at (d={d}, r={r})")
     return "reciprocal density bounds hold"
 
 
 def check_u_bounds() -> str:
+    """U(r, k) <= C(k(k-1)/2, k-1) * (r+2)**(k-1) * d**(k-1), exactly."""
     for d in (2, 3):
         for r in (-1, 0, 1, 2):
             for k in (1, 2, 3, 4):
-                _require(recur.u_bound_check(d, r, k), f"bound fails at (d={d}, r={r}, k={k})")
+                u = recur.u_value(d, r, k)
+                bound = math.comb(k * (k - 1) // 2, k - 1) * (r + 2) ** (k - 1) * d ** (k - 1)
+                _require(u <= bound, f"U={u} above {bound} at (d={d}, r={r}, k={k})")
     return "binomial bound holds on the grid"
 
 
@@ -428,7 +433,6 @@ def check_decomposition_geometry() -> str:
         _require(report.direct_infinity_count == expected_inf,
                  f"direct infinity {report.direct_infinity_count} != gcd^(k-1)={expected_inf}")
         graph_list = graphs.enumerate_complete_proper(N - 1, k, 2)
-        bound = 2 ** (2 * k * N)
         for g in graph_list:
             weil = curves.weil_check(f, g, k, N)
             _require(weil.ok, f"Weil deviation {weil.deviation} at p={p}")
@@ -436,20 +440,21 @@ def check_decomposition_geometry() -> str:
             for g2 in graph_list[i + 1:]:
                 inter = curves.intersection_check(f, g1, g2, k, N)
                 _require(inter.ok and inter.sets_differ,
-                         f"intersection bound {inter.common} > {bound} at p={p}")
+                         f"intersection bound {inter.common} > {inter.bound} at p={p}")
     return "union, moments, Weil and Bezout bounds hold"
 
 
 def check_asymptotic_trend() -> str:
-    bounds = recur.asymptotic_ratio_bounds(2, 1000)
-    lo_band, hi_band = Fraction(9, 10), Fraction(11, 10)
-    for r in range(200, 1001):
-        lo, hi = bounds[r]
-        _require(lo_band <= lo and hi <= hi_band, f"ratio escapes [0.9, 1.1] at r={r}")
-    for r in range(10, 1001):
-        lo, hi = bounds[r]
-        _require(Fraction(1, 2) <= lo and hi <= Fraction(3, 2),
-                 f"ratio escapes [0.5, 1.5] at r={r}")
+    """Certified enclosures of mu_r * (d-1) * r / 2 at d = 2 lie in [0.5, 1.5]
+    from r = 10 and in [0.9, 1.1] from r = 200, up to r = 1000."""
+    d, bits = 2, 128
+    for r, (lo, hi) in enumerate(recur.mu_interval_sequence(d, 1000, bits)):
+        factor = Fraction((d - 1) * r, 2 << bits)
+        lo, hi = lo * factor, hi * factor
+        _require(r < 10 or Fraction(1, 2) <= lo and hi <= Fraction(3, 2),
+                 f"ratio escapes [0.5, 1.5] at (d={d}, r={r})")
+        _require(r < 200 or Fraction(9, 10) <= lo and hi <= Fraction(11, 10),
+                 f"ratio escapes [0.9, 1.1] at (d={d}, r={r})")
     return "certified ratios stay in band"
 
 
@@ -468,7 +473,8 @@ def check_theorem_statistics(desk: bool = True) -> str:
                        policy="random", seed=20260808, require_precondition=True)
     records, _ = sweep_theorem(cfg4)
     for rec in records:
-        _require(rec["image_size"] == (rec["p"] - 1) // 4 + 1,
+        dist = dynamics.preimage_distribution(poly_map(rec["p"], 4, rec["A"], rec["C"]), 1)
+        _require(rec["image_size"] == rec["p"] - np.count_nonzero(dist == 0),
                  f"closed-form image broke at p={rec['p']}")
     return f"mean={mean:.3f}, max={worst:.3f}"
 
@@ -511,7 +517,8 @@ def verify_all(desk: bool = True) -> dict:
     """
     steps = [
         ("mu-recursion", check_recursion_values),
-        ("mu-v-consistency", _check_mu_v_all),
+        ("mu-v-consistency",
+         lambda: check_mu_v_consistency(2, 6) + ", " + check_mu_v_consistency(3, 4)),
         ("q-bound", check_q_bounds),
         ("u-bound", check_u_bounds),
         ("partition-recursion", lambda: check_partition_recursion(desk)),

@@ -1,7 +1,8 @@
-"""Exact-rational recursions: the density sequence mu_r, its reciprocal
-bounds, the exponential-series coefficient tables v(r, m), the labeled-graph
-counts U(r, k) they encode, and the set-partition recursion tying levels
-together.
+"""Exact-rational recursions: the density sequence mu_r and its certified
+enclosures, the exponential-series coefficient tables v(r, m), the
+labeled-graph counts U(r, k) they encode, and the set-partition recursion
+tying levels together.  The bounds the paper proves on these values are
+compared in lab's verify checks.
 
 Everything here is exact integer or Fraction arithmetic; denominators grow
 roughly like d**(d**r), so exact levels are capped and large-r questions go
@@ -92,31 +93,6 @@ def mu_interval_sequence(d: int, R: int, bits: int = 128) -> list[tuple[int, int
     return out
 
 
-def asymptotic_ratio_bounds(
-    d: int, R: int, bits: int = 128
-) -> list[tuple[Fraction, Fraction]]:
-    """Certified (lo, hi) rational bounds on mu_r * (d-1) * r / 2."""
-    scale = 1 << bits
-    out = []
-    for r, (lo, hi) in enumerate(mu_interval_sequence(d, R, bits)):
-        factor = Fraction((d - 1) * r, 2)
-        out.append((Fraction(lo, scale) * factor, Fraction(hi, scale) * factor))
-    return out
-
-
-def q_bound_check(d: int, R: int) -> bool:
-    """1/mu_r >= (d-1)*r/2 + 1 for all 0 <= r <= R, exact comparison."""
-    mus = mu_sequence(d, R)
-    return all(1 / mus[r] >= Fraction((d - 1) * r, 2) + 1 for r in range(R + 1))
-
-
-def q_increment_check(d: int, R: int) -> bool:
-    """Each reciprocal density step gains at least (d-1)/2."""
-    mus = mu_sequence(d, R)
-    half = Fraction(d - 1, 2)
-    return all(1 / mus[r + 1] - 1 / mus[r] >= half for r in range(R))
-
-
 def check_degree_level(d: int, r: int) -> None:
     """Refuse a degree below 2 or a graph level below -1 with ValueError."""
     if d < 2:
@@ -171,12 +147,6 @@ def u_value(d: int, r: int, k: int) -> int:
             f"graph count U({r},{k}) for d={d} came out non-integral: {total}"
         )
     return int(total)
-
-
-def u_bound_check(d: int, r: int, k: int) -> bool:
-    """U(r,k) <= C(k(k-1)/2, k-1) * (r+2)**(k-1) * d**(k-1), exactly."""
-    bound = math.comb(k * (k - 1) // 2, k - 1) * (r + 2) ** (k - 1) * d ** (k - 1)
-    return u_value(d, r, k) <= bound
 
 
 def block_size_classes(k: int, t: int) -> list[tuple[tuple[int, ...], int]]:

@@ -37,8 +37,10 @@ class Mutant:
 
 
 DYNAMICS = "src/polyiter/dynamics.py"
+LAB = "src/polyiter/lab.py"
 T_DYN = "tests/test_dynamics.py::"
 T_LAB = "tests/test_lab.py::"
+VERIFY_QUICK = T_LAB + "test_verify_all_quick_is_green"
 
 MUTANTS = [
     Mutant("first-repeat-limit-off-by-one", DYNAMICS,
@@ -91,6 +93,24 @@ MUTANTS = [
     Mutant("image-zero-count-off-by-one", "src/polyiter/cli.py",
            '"zero_preimages": args.p - size', '"zero_preimages": args.p - size + 1',
            (T_LAB + "test_cli_image_counts_without_the_full_domain_histogram",)),
+    Mutant("q-bound-linear-one-high", LAB,
+           "q[r] >= half * r + 1", "q[r] >= half * r + 2",
+           (VERIFY_QUICK,)),
+    Mutant("q-bound-increment-sign", LAB,
+           "q[r] - q[r - 1] >= half", "q[r - 1] - q[r] >= half",
+           (VERIFY_QUICK,)),
+    Mutant("u-bound-level-factor-r-plus-1", LAB,
+           "(r + 2) ** (k - 1) * d ** (k - 1)", "(r + 1) ** (k - 1) * d ** (k - 1)",
+           (VERIFY_QUICK,)),
+    Mutant("asymptotic-ratio-d-for-d-minus-1", LAB,
+           "Fraction((d - 1) * r, 2 << bits)", "Fraction(d * r, 2 << bits)",
+           (VERIFY_QUICK, "tests/test_acceptance.py::test_criterion_7_asymptotic_trend")),
+    Mutant("theorem-statistics-unhit-count-off-by-one", LAB,
+           'rec["p"] - np.count_nonzero(dist == 0)', 'rec["p"] - np.count_nonzero(dist == 0) + 1',
+           (VERIFY_QUICK,)),
+    Mutant("sweep-record-cap-per-prime-only", LAB,
+           "most = cfg.per_prime * len(primes)", "most = cfg.per_prime",
+           (T_LAB + "test_sweep_record_cap_bounds_the_random_policy",)),
 ]
 
 

@@ -6,15 +6,15 @@ from polyiter import field
 
 
 def test_validate_params_accepts_basic_case():
-    assert field.validate_params(5, 2, 1).ok
+    assert field.validate_params(5, 2, 1) is None
 
 
 def test_validate_params_failure_reasons():
-    assert field.validate_params(5, 3, 1).reason == field.DEGREE_NOT_DIVIDING
-    assert field.validate_params(5, 2, 0).reason == field.ZERO_LEADING_COEFFICIENT
-    assert field.validate_params(9, 2, 1).reason == field.NOT_PRIME
-    assert field.validate_params(5, 1, 1).reason == field.DEGREE_TOO_SMALL
-    assert field.validate_params(2**31 + 11, 2, 1).reason == field.MODULUS_TOO_LARGE
+    assert field.validate_params(5, 3, 1) == field.DEGREE_NOT_DIVIDING
+    assert field.validate_params(5, 2, 0) == field.ZERO_LEADING_COEFFICIENT
+    assert field.validate_params(9, 2, 1) == field.NOT_PRIME
+    assert field.validate_params(5, 1, 1) == field.DEGREE_TOO_SMALL
+    assert field.validate_params(2**31 + 11, 2, 1) == field.MODULUS_TOO_LARGE
 
 
 def test_primitive_root_examples():
@@ -65,7 +65,7 @@ def test_primitive_root_is_smallest():
 def test_validation_implies_root_exists():
     for p in range(3, 200):
         for d in range(2, 8):
-            if field.validate_params(p, d, 1).ok:
+            if field.validate_params(p, d, 1) is None:
                 field.primitive_dth_root(p, d)
 
 

@@ -341,6 +341,50 @@ def test_mu_v_consistency_fault_injection(monkeypatch):
         lab.check_mu_v_consistency(2, 4)
 
 
+def test_recur_bound_checks_name_their_failing_instance(monkeypatch):
+    # one corrupted mu level, U value or interval end at a time: each check
+    # fails there and names the full instance
+    mu_sequence, u_value = recur.mu_sequence, recur.u_value
+    mu_interval_sequence = recur.mu_interval_sequence
+
+    def reciprocal_at(d0, r0, q):
+        def patched(d, R):
+            mus = list(mu_sequence(d, R))
+            if d == d0:
+                mus[r0] = 1 / Fraction(q)
+            return tuple(mus)
+        return patched
+
+    def interval_end_at(r0, num, den):
+        def patched(d, R, bits=128):
+            out = mu_interval_sequence(d, R, bits)
+            out[r0] = (out[r0][0], out[r0][1] * num // den)
+            return out
+        return patched
+
+    # 1/mu_5 = 5 at d = 3 is below 2 * 5/2 + 1 = 6
+    monkeypatch.setattr(recur, "mu_sequence", reciprocal_at(3, 5, 5))
+    with pytest.raises(lab.CheckFailed, match=r"^linear lower bound fails at \(d=3, r=5\)$"):
+        lab.check_q_bounds()
+    # 1/mu_4 = 7 at d = 4 meets 3 * 4/2 + 1 but falls below 1/mu_3 = 7.58...
+    monkeypatch.setattr(recur, "mu_sequence", reciprocal_at(4, 4, 7))
+    with pytest.raises(lab.CheckFailed, match=r"^increment bound fails at \(d=4, r=4\)$"):
+        lab.check_q_bounds()
+    # U(1, 4) at d = 3 is 10**6 past C(6, 3) * 3**3 * 3**3 = 14580
+    monkeypatch.setattr(recur, "u_value",
+                        lambda d, r, k: u_value(d, r, k) + 10**6 * ((d, r, k) == (3, 1, 4)))
+    with pytest.raises(lab.CheckFailed, match=r"above 14580 at \(d=3, r=1, k=4\)$"):
+        lab.check_u_bounds()
+    # the ratio is 0.80 at r = 20 and 0.98 at r = 500: upper ends doubled and
+    # raised by a fifth leave the wide and the narrow band
+    monkeypatch.setattr(recur, "mu_interval_sequence", interval_end_at(20, 2, 1))
+    with pytest.raises(lab.CheckFailed, match=r"^ratio escapes \[0.5, 1.5\] at \(d=2, r=20\)$"):
+        lab.check_asymptotic_trend()
+    monkeypatch.setattr(recur, "mu_interval_sequence", interval_end_at(500, 6, 5))
+    with pytest.raises(lab.CheckFailed, match=r"^ratio escapes \[0.9, 1.1\] at \(d=2, r=500\)$"):
+        lab.check_asymptotic_trend()
+
+
 CHECK_NAMES = [
     "mu-recursion", "mu-v-consistency", "q-bound", "u-bound", "partition-recursion",
     "enumeration-u-match", "tree-generation", "moment-identities",
@@ -680,6 +724,20 @@ def test_cli_exit_codes(capsys):
                      "--out", "/nonexistent/x"]) == 2
     assert cli.main(["sweep", "--d", "2", "--p-min", "5", "--p-max", "7",
                      "--out", "/nonexistent/dir/x.csv"]) == 2
+
+
+def test_sweep_record_cap_bounds_the_random_policy(monkeypatch, capsys):
+    # 3 records for each of the 5 primes of 3-13: admitted at a cap of 15,
+    # refused at 10 before any map runs and with nothing written
+    argv = ["sweep", "--d", "2", "--p-min", "3", "--p-max", "13", "--per-prime", "3"]
+    monkeypatch.setattr(lab, "SWEEP_RECORD_CAP", 15)
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 15
+    monkeypatch.setattr(lab, "SWEEP_RECORD_CAP", 10)
+    monkeypatch.setattr(dynamics, "image_size", None)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == (
+        "", "budget exceeded: policy random over 5 primes holds up to 15 records, cap 10\n")
 
 
 def test_cli_verify_quick_writes_manifest(tmp_path, capsys):

@@ -43,10 +43,16 @@ def test_mu_interval_encloses_exact():
             assert hi - lo <= 4 * (r + 1)  # a few ulps per level at most
 
 
+def reciprocals(d: int, R: int) -> list[Fraction]:
+    """1/mu_r for r = 0..R, exact."""
+    return [1 / mu for mu in recur.mu_sequence(d, R)]
+
+
 def test_q_bound_examples():
-    assert recur.q_bound_check(2, 0)
-    assert recur.q_bound_check(2, 3)
-    assert recur.q_bound_check(3, 2)
+    # 1/mu_r >= (d-1)*r/2 + 1 at every level
+    for d, R in ((2, 0), (2, 3), (3, 2)):
+        q = reciprocals(d, R)
+        assert all(q[r] >= Fraction((d - 1) * r, 2) + 1 for r in range(R + 1))
     mus = recur.mu_sequence(2, 3)
     assert 1 / mus[3] == Fraction(128, 39)
     mus3 = recur.mu_sequence(3, 2)
@@ -54,9 +60,10 @@ def test_q_bound_examples():
 
 
 def test_q_increment():
-    assert recur.q_increment_check(2, 12)
-    assert recur.q_increment_check(3, 8)
-    assert recur.q_increment_check(5, 6)
+    # each step of 1/mu_r gains at least (d-1)/2
+    for d, R in ((2, 12), (3, 8), (5, 6)):
+        q = reciprocals(d, R)
+        assert all(q[r + 1] - q[r] >= Fraction(d - 1, 2) for r in range(R))
 
 
 def asymptotic_table(d: int, R: int) -> list[Fraction]:
@@ -65,18 +72,25 @@ def asymptotic_table(d: int, R: int) -> list[Fraction]:
     return [mus[r] * (d - 1) * r / 2 for r in range(R + 1)]
 
 
+def ratio_bounds(d: int, R: int) -> list[tuple[Fraction, Fraction]]:
+    """The certified enclosures of mu_r scaled to mu_r * (d-1) * r / 2."""
+    scale = 1 << 128
+    return [(Fraction(lo * (d - 1) * r, 2 * scale), Fraction(hi * (d - 1) * r, 2 * scale))
+            for r, (lo, hi) in enumerate(recur.mu_interval_sequence(d, R))]
+
+
 def test_asymptotic_table_exact_values():
     table = asymptotic_table(2, 3)
     assert table[1] == Fraction(1, 4)
     assert table[3] == Fraction(117, 256)
-    bounds = recur.asymptotic_ratio_bounds(2, 3)
+    bounds = ratio_bounds(2, 3)
     for r, exact in ((1, Fraction(1, 4)), (3, Fraction(117, 256))):
         lo, hi = bounds[r]
         assert lo <= exact <= hi
 
 
 def test_asymptotic_bounds_certified():
-    bounds = recur.asymptotic_ratio_bounds(2, 300)
+    bounds = ratio_bounds(2, 300)
     exact = asymptotic_table(2, 20)
     for r in range(21):
         lo, hi = bounds[r]
@@ -163,14 +177,19 @@ def test_u_values():
             assert recur.u_value(d, -1, k) == 1
 
 
+def u_bound(d: int, r: int, k: int) -> int:
+    """C(k(k-1)/2, k-1) * (r+2)**(k-1) * d**(k-1)."""
+    return math.comb(k * (k - 1) // 2, k - 1) * (r + 2) ** (k - 1) * d ** (k - 1)
+
+
 def test_u_bound_examples():
-    assert recur.u_bound_check(2, 1, 1)
-    assert recur.u_bound_check(2, 1, 2)  # 3 <= 6
-    assert recur.u_bound_check(2, 0, 3)  # 4 <= 48
+    assert recur.u_value(2, 1, 1) <= u_bound(2, 1, 1) == 1
+    assert recur.u_value(2, 1, 2) <= u_bound(2, 1, 2) == 6  # 3 <= 6
+    assert recur.u_value(2, 0, 3) <= u_bound(2, 0, 3) == 48  # 4 <= 48
     for d in (2, 3):
         for r in (-1, 0, 1, 2):
             for k in (1, 2, 3, 4):
-                assert recur.u_bound_check(d, r, k)
+                assert recur.u_value(d, r, k) <= u_bound(d, r, k)
 
 
 def partitions_into_blocks(k: int, t: int) -> list[tuple[tuple[int, ...], ...]]:
