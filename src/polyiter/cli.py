@@ -116,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(records: list[dict], args) -> None:
-    write_output(render_records(records, list(records[0]), args.format), args.out)
+    rows = [tuple(rec.values()) for rec in records]
+    write_output(render_records(rows, list(records[0]), args.format), args.out)
 
 
 def _run_orbit(args) -> int:

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -24,14 +26,21 @@ from .report import render_records
 
 GENERATOR_NAME = "mt19937-per-prime"
 
-THEOREM_FIELDS = ["p", "d", "A", "C", "N", "image_size", "mu_p", "norm_err", "precondition"]
-COLLISION_FIELDS = ["p", "d", "A", "C", "tail_len", "cycle_len", "collision_index", "ratio"]
-GRAPH_FIELDS = [
+# One row type per sweep mode: a record is a tuple of its fields in column
+# order, which holds a record in about 40% less memory than a dict.
+TheoremRecord = namedtuple(
+    "TheoremRecord", ["p", "d", "A", "C", "N", "image_size", "mu_p", "norm_err", "precondition"])
+CollisionRecord = namedtuple(
+    "CollisionRecord", ["p", "d", "A", "C", "tail_len", "cycle_len", "collision_index", "ratio"])
+GraphRecord = namedtuple("GraphRecord", [
     "p", "d", "A", "C",
     "num_cycles", "sum_cycle_lengths", "sum_precyclic_path_lengths", "max_tail",
     "cycle_bound", "precyclic_bound", "n0", "image_n0", "v2_limit",
     "cycle_bound_ok", "precyclic_bound_ok", "v2_ok",
-]
+])
+THEOREM_FIELDS = TheoremRecord._fields
+COLLISION_FIELDS = CollisionRecord._fields
+GRAPH_FIELDS = GraphRecord._fields
 
 
 # Cap on the prime search's trial-division work, bounded by (p_max - p_min + 1)
@@ -87,17 +96,20 @@ def primes_with_degree(lo: int, hi: int, d: int) -> list[int]:
 
 
 def _sweep(
-    cfg: SweepConfig, per_prime: Callable[[int], Callable[[FieldParams], dict]]
-) -> tuple[list[dict], float]:
+    cfg: SweepConfig, per_prime: Callable[[int], Callable[[FieldParams], tuple]]
+) -> tuple[list[tuple], float]:
     """The loop every sweep mode shares: records sorted on (p, A, C), and
     the rejected share of the drawn pairs.
 
-    per_prime(p) returns the mode's per-map function, which gives a record's
-    fields after p, d, A and C.  Policy "all" walks every pair; "random"
-    draws from the seeded per-prime stream until per_prime pairs are
-    admitted or 100 * per_prime pairs are drawn.  With require_precondition,
-    failing pairs are rejected (and counted) rather than recorded.  A sweep
-    that could hold more than SWEEP_RECORD_CAP records is refused up front.
+    per_prime(p) returns the mode's per-map function, which gives a map's
+    whole record.  Each prime's records are sorted on (A, C) and appended;
+    primes ascend and the sort is stable, so the records end sorted on
+    (p, A, C), repeated draws in draw order.  Policy "all" walks every
+    pair; "random" draws from the seeded per-prime stream until per_prime
+    pairs are admitted or 100 * per_prime pairs are drawn.  With
+    require_precondition, failing pairs are rejected (and counted) rather
+    than recorded.  A sweep that could hold more than SWEEP_RECORD_CAP
+    records is refused up front.
     """
     primes = primes_with_degree(cfg.p_min, cfg.p_max, cfg.d)
     if cfg.policy == "all":
@@ -117,43 +129,38 @@ def _sweep(
             # per-prime stream so record sets are independent of the prime ordering
             rng = random.Random((cfg.seed << 32) ^ p)
             pairs = ((rng.randrange(1, p), rng.randrange(p)) for _ in range(100 * cfg.per_prime))
-        admitted = 0
+        batch = []
         for A, C in pairs:
             drawn += 1
             f = FieldParams(p, cfg.d, A, C)
             if cfg.require_precondition and not dynamics.check_precondition(f, cfg.N):
                 rejected += 1
                 continue
-            records.append({"p": p, "d": cfg.d, "A": A, "C": C, **per_map(f)})
-            admitted += 1
-            if cfg.policy == "random" and admitted == cfg.per_prime:
+            batch.append(per_map(f))
+            if cfg.policy == "random" and len(batch) == cfg.per_prime:
                 break
-    records.sort(key=lambda rec: (rec["p"], rec["A"], rec["C"]))
+        batch.sort(key=attrgetter("A", "C"))
+        records += batch
     return records, rejected / drawn if drawn else 0.0
 
 
-def sweep_theorem(cfg: SweepConfig) -> tuple[list[dict], dict]:
+def sweep_theorem(cfg: SweepConfig) -> tuple[list[TheoremRecord], dict]:
     """One record per (p, A, C): image size at depth N against mu_N * p."""
     mu_n = recur.mu_sequence(cfg.d, cfg.N)[cfg.N]
 
     def per_prime(p: int):
         mu_p = float(mu_n * p)
 
-        def per_map(f: FieldParams) -> dict:
+        def per_map(f: FieldParams) -> TheoremRecord:
             # maps were already filtered on the precondition when it is required
             held = cfg.require_precondition or dynamics.check_precondition(f, cfg.N)
             img = dynamics.image_size(f, cfg.N)
-            return {
-                "N": cfg.N,
-                "image_size": img,
-                "mu_p": mu_p,
-                "norm_err": (img - mu_p) / math.sqrt(p),
-                "precondition": held,
-            }
+            return TheoremRecord(f.p, f.d, f.A, f.C, cfg.N, img, mu_p,
+                                 (img - mu_p) / math.sqrt(p), held)
         return per_map
 
     records, rejected_share = _sweep(cfg, per_prime)
-    errs = [abs(rec["norm_err"]) for rec in records]
+    errs = [abs(rec.norm_err) for rec in records]
     summary = {
         "count": len(records),
         "mean_abs_norm_err": sum(errs) / len(errs) if errs else 0.0,
@@ -167,23 +174,19 @@ def sweep_theorem(cfg: SweepConfig) -> tuple[list[dict], dict]:
     return records, summary
 
 
-def collision_stats(cfg: SweepConfig) -> tuple[list[dict], dict]:
+def collision_stats(cfg: SweepConfig) -> tuple[list[CollisionRecord], dict]:
     """Orbit-of-zero collision index per instance, scaled by log log p / p."""
     def per_prime(p: int):
         loglog = math.log(math.log(p))
 
-        def per_map(f: FieldParams) -> dict:
+        def per_map(f: FieldParams) -> CollisionRecord:
             orbit = dynamics.orbit_of_zero(f)
-            return {
-                "tail_len": orbit.tail_len,
-                "cycle_len": orbit.cycle_len,
-                "collision_index": orbit.collision_index,
-                "ratio": orbit.collision_index * loglog / p,
-            }
+            return CollisionRecord(f.p, f.d, f.A, f.C, orbit.tail_len, orbit.cycle_len,
+                                   orbit.collision_index, orbit.collision_index * loglog / p)
         return per_map
 
     records, _ = _sweep(cfg, per_prime)
-    ratios = sorted(rec["ratio"] for rec in records)
+    ratios = sorted(rec.ratio for rec in records)
     summary = {"count": len(records)}
     if ratios:
         summary.update({
@@ -196,7 +199,7 @@ def collision_stats(cfg: SweepConfig) -> tuple[list[dict], dict]:
     return records, summary
 
 
-def graph_sweep(cfg: SweepConfig) -> tuple[list[dict], dict]:
+def graph_sweep(cfg: SweepConfig) -> tuple[list[GraphRecord], dict]:
     """Functional-graph statistics per instance with the corollary bounds.
 
     The two bounds and the proof-internal image limit are evaluated and
@@ -210,27 +213,23 @@ def graph_sweep(cfg: SweepConfig) -> tuple[list[dict], dict]:
         precyclic_bound = 28 * p * math.log(cfg.d) / loglog
         v2_limit = (2 / (cfg.d - 1) + 1) * p / n0
 
-        def per_map(f: FieldParams) -> dict:
+        def per_map(f: FieldParams) -> GraphRecord:
             stats = dynamics.functional_graph_stats(f)
             image_n0 = dynamics.image_size(f, n0)
-            return {
-                **vars(stats),
-                "cycle_bound": cycle_bound,
-                "precyclic_bound": precyclic_bound,
-                "n0": n0,
-                "image_n0": image_n0,
-                "v2_limit": v2_limit,
-                "cycle_bound_ok": stats.sum_cycle_lengths <= cycle_bound,
-                "precyclic_bound_ok": stats.sum_precyclic_path_lengths <= precyclic_bound,
-                "v2_ok": image_n0 < v2_limit,
-            }
+            return GraphRecord(
+                f.p, f.d, f.A, f.C,
+                stats.num_cycles, stats.sum_cycle_lengths, stats.sum_precyclic_path_lengths,
+                stats.max_tail, cycle_bound, precyclic_bound, n0, image_n0, v2_limit,
+                stats.sum_cycle_lengths <= cycle_bound,
+                stats.sum_precyclic_path_lengths <= precyclic_bound,
+                image_n0 < v2_limit)
         return per_map
 
     records, _ = _sweep(cfg, per_prime)
     summary = {"count": len(records)}
     for flag in ("cycle_bound_ok", "precyclic_bound_ok", "v2_ok"):
         if records:
-            summary[flag + "_fraction"] = sum(rec[flag] for rec in records) / len(records)
+            summary[flag + "_fraction"] = sum(map(attrgetter(flag), records)) / len(records)
     return records, summary
 
 
@@ -307,13 +306,12 @@ def check_moment_identities(desk: bool = True) -> str:
                 at = f"p={p} d={d} A={A} C={C} N={N}"
                 dist = dynamics.preimage_distribution(f, N)
                 _require(int(dist.sum()) == p, f"mass leak {at}")
-                _require(int(dist.max()) <= d**N,
-                         f"preimage count above d**N at p={p} d={d}")
+                _require(int(dist.max()) <= d**N, f"preimage count above d**N at {at}")
                 # the moments read the image-set profile; dist is the full domain
                 _require(np.array_equal(dynamics._profile(f, N), np.bincount(dist)),
                          f"profile != full-domain histogram {at}")
-                _require(dynamics.moment_w(f, N, 1) == p, f"W(N,1) != p at p={p} d={d}")
-                _require(dynamics.moment_w(f, N, 0) == p, f"W(N,0) != p at p={p} d={d}")
+                _require(dynamics.moment_w(f, N, 1) == p, f"W(N,1) != p at {at}")
+                _require(dynamics.moment_w(f, N, 0) == p, f"W(N,0) != p at {at}")
                 arr = dynamics.apply_map_to_domain(f, N)
                 for k in (2, 3):
                     _require(dynamics.moment_w(f, N, k) == _tuple_count_oracle(arr, k),
@@ -347,17 +345,20 @@ def check_tree_generation(desk: bool = True) -> str:
     for d in (2, 3):
         for r in (-1, 0, 1):
             for k in (1, 2, 3):
+                at = f"(d={d}, r={r}, k={k})"
                 complete = set(graphs.enumerate_complete_proper(r, k, d))
                 covered = set()
                 for tree in graphs.enumerate_trees(r, k, d):
                     lex = graphs.maximal_extension(tree, order="lex")
                     rev = graphs.maximal_extension(tree, order="reverse")
-                    _require(lex == rev, f"order-dependent extension of {tree.canonical()}")
+                    _require(lex == rev,
+                             f"order-dependent extension of {tree.canonical()} at {at}")
                     if lex.is_complete():
                         covered.add(lex)
                 if not complete <= covered:
                     missing = next(iter(complete - covered))
-                    raise CheckFailed(f"graph not generated by any tree: {missing.canonical()}")
+                    raise CheckFailed(
+                        f"graph not generated by any tree: {missing.canonical()} at {at}")
                 if desk:
                     for g in complete:
                         edge_items = sorted(g.edges.items())
@@ -367,8 +368,8 @@ def check_tree_generation(desk: bool = True) -> str:
                                 edges=dict(edge_items[:drop] + edge_items[drop + 1:]))
                             lex = graphs.maximal_extension(sub, order="lex")
                             rev = graphs.maximal_extension(sub, order="reverse")
-                            _require(lex == rev,
-                                     f"subgraph extension order-dependent in {g.canonical()}")
+                            _require(lex == rev, f"subgraph extension order-dependent in "
+                                                 f"{g.canonical()} at {at}")
     return "trees cover all complete proper graphs"
 
 
@@ -431,16 +432,19 @@ def check_decomposition_geometry() -> str:
         _require(report.affine_equals_w, f"affine != W at p={p}, k={k}")
         expected_inf = math.gcd(p - 1, 2**N) ** (k - 1)
         _require(report.direct_infinity_count == expected_inf,
-                 f"direct infinity {report.direct_infinity_count} != gcd^(k-1)={expected_inf}")
+                 f"direct infinity {report.direct_infinity_count} != gcd^(k-1)={expected_inf} "
+                 f"at p={p}, k={k}")
         graph_list = graphs.enumerate_complete_proper(N - 1, k, 2)
         for g in graph_list:
             weil = curves.weil_check(f, g, k, N)
-            _require(weil.ok, f"Weil deviation {weil.deviation} at p={p}")
+            _require(weil.ok, f"Weil deviation {weil.deviation} at p={p}, k={k}, N={N}, "
+                              f"graph {g.canonical()}")
         for i, g1 in enumerate(graph_list):
             for g2 in graph_list[i + 1:]:
                 inter = curves.intersection_check(f, g1, g2, k, N)
                 _require(inter.ok and inter.sets_differ,
-                         f"intersection bound {inter.common} > {inter.bound} at p={p}")
+                         f"intersection bound {inter.common} > {inter.bound} at p={p}, k={k}, "
+                         f"N={N}, graphs {g1.canonical()} and {g2.canonical()}")
     return "union, moments, Weil and Bezout bounds hold"
 
 
@@ -473,9 +477,9 @@ def check_theorem_statistics(desk: bool = True) -> str:
                        policy="random", seed=20260808, require_precondition=True)
     records, _ = sweep_theorem(cfg4)
     for rec in records:
-        dist = dynamics.preimage_distribution(poly_map(rec["p"], 4, rec["A"], rec["C"]), 1)
-        _require(rec["image_size"] == rec["p"] - np.count_nonzero(dist == 0),
-                 f"closed-form image broke at p={rec['p']}")
+        dist = dynamics.preimage_distribution(poly_map(rec.p, 4, rec.A, rec.C), 1)
+        _require(rec.image_size == rec.p - np.count_nonzero(dist == 0),
+                 f"closed-form image broke at p={rec.p}")
     return f"mean={mean:.3f}, max={worst:.3f}"
 
 
@@ -495,14 +499,13 @@ def check_corollary_sweeps(desk: bool = True) -> str:
              == render_records(gr2, GRAPH_FIELDS, "json"),
              "graph sweep not deterministic")
     for rec in col1:
-        _require(1 <= rec["collision_index"] <= rec["p"],
-                 f"collision index out of range at p={rec['p']}")
-        _require(math.isfinite(rec["ratio"]), "non-finite ratio")
-        _require(set(rec) == set(COLLISION_FIELDS), "collision schema mismatch")
+        _require(1 <= rec.collision_index <= rec.p, f"collision index out of range at p={rec.p}")
+        _require(math.isfinite(rec.ratio), "non-finite ratio")
+        _require(rec._fields == COLLISION_FIELDS, "collision schema mismatch")
     for rec in gr1:
-        _require(rec["sum_cycle_lengths"] <= rec["p"], f"cycle mass exceeds p at p={rec['p']}")
-        _require(set(rec) == set(GRAPH_FIELDS), "graph schema mismatch")
-        _require(math.isfinite(rec["cycle_bound"]) and math.isfinite(rec["v2_limit"]),
+        _require(rec.sum_cycle_lengths <= rec.p, f"cycle mass exceeds p at p={rec.p}")
+        _require(rec._fields == GRAPH_FIELDS, "graph schema mismatch")
+        _require(math.isfinite(rec.cycle_bound) and math.isfinite(rec.v2_limit),
                  "non-finite bound")
     return f"{len(col1)} collision and {len(gr1)} graph records"
 

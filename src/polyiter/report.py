@@ -3,8 +3,8 @@
 CSV columns come in a fixed order; booleans are lowercased; floats use
 their shortest round-trip repr; fractions are written n/d, in JSON as
 strings.  JSON output is an object with a metadata block followed by the
-records, indented two spaces.  Rendering the same records twice yields
-identical bytes.
+records, indented two spaces.  A record is a row: a tuple of its values in
+column order.  Rendering the same records twice yields identical bytes.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import io
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .errors import BudgetError
@@ -64,57 +65,75 @@ def writable(values: Iterable) -> Iterator:
 _RAW = {int, float, str}
 
 
-def _csv(records: list[dict], fieldnames: list[str]) -> str:
-    """The CSV text, a column at a time: a column of raw cells goes to the
-    writer as it is, any other through _cell."""
-    columns = [list(map(itemgetter(name), records)) for name in fieldnames]
-    cells = [col if set(map(type, col)) <= _RAW else list(map(_cell, col)) for col in columns]
+def _csv(records: list[Sequence], fieldnames: Sequence[str]) -> str:
+    """The CSV text: a column whose cells are all raw goes to the writer as
+    it is, any other through _cell.  Columns are read from the rows as the
+    writer takes them, never held as lists."""
+    def column(i: int) -> Iterator:
+        cells = map(itemgetter(i), records)
+        return cells if set(map(type, map(itemgetter(i), records))) <= _RAW else map(_cell, cells)
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
-    writer.writerows(zip(*cells) if cells else [()] * len(records))
+    writer.writerows(zip(*map(column, range(len(fieldnames)))) if fieldnames
+                     else [()] * len(records))
     return buf.getvalue()
 
 
-def _json(records: list[dict], fieldnames: list[str], metadata: dict | None) -> str:
+def _json(records: list[Sequence], fieldnames: Sequence[str], metadata: dict | None) -> str:
     """The text of json.dumps({"metadata": ..., "records": ...}, indent=2,
     default=_ratio) with the records written by the C encoder: with scalar
     values, a record's lines at indent 2 are those of its one-line form with
-    each item separator followed by a newline and that indent."""
+    each item separator followed by a newline and that indent.  The text is
+    joined once, from the head and each record's lines with what follows
+    them."""
     head = json.dumps({"metadata": metadata or {}, "records": []}, indent=2, default=_ratio)
     if not records:
         return head + "\n"
     encode = json.JSONEncoder(separators=(",\n      ", ": "), default=_ratio).encode
-    items = (encode({name: rec[name] for name in fieldnames})[1:-1] for rec in records)
-    body = ",\n".join(f"    {{\n      {item}\n    }}" if item else "    {}" for item in items)
-    return head.removesuffix("[]\n}") + f"[\n{body}\n  ]\n}}\n"
+    items = (encode(dict(zip(fieldnames, rec)))[1:-1] for rec in records)
+    ends = chain(repeat(",\n", len(records) - 1), ["\n  ]\n}\n"])
+    texts = (f"    {{\n      {item}\n    }}{end}" if item else f"    {{}}{end}"
+             for item, end in zip(items, ends))
+    return "".join(chain([head.removesuffix("[]\n}"), "[\n"], texts))
 
 
-def render_records(records: list[dict], fieldnames: list[str], fmt: str,
+def render_records(records: list[Sequence], fieldnames: Sequence[str], fmt: str,
                    metadata: dict | None = None) -> str:
     """records as CSV (a header row of fieldnames) or as JSON (an object of
-    metadata and the records), each record written as its fields in order.
-    Values are scalars: bool, int, float, str, Fraction, None, or a numpy
-    scalar in CSV."""
+    metadata and the records), each record a row of values aligned with
+    fieldnames.  Values are scalars: bool, int, float, str, Fraction, None,
+    or a numpy scalar in CSV."""
     try:
         if fmt == "csv":
             return _csv(records, fieldnames)
         if fmt == "json":
             return _json(records, fieldnames, metadata)
     except ValueError:
-        for _ in writable(rec[name] for rec in records for name in fieldnames):
+        for _ in writable(value for rec in records for value in rec):
             pass
         raise
     raise ValueError(f"unknown format {fmt!r}")
 
 
+# Characters handed to a text stream per write, so that it never holds the
+# whole text encoded next to the text itself.
+_WRITE_SLICE = 1 << 20
+
+
+def _write(handle, text: str) -> None:
+    for start in range(0, len(text), _WRITE_SLICE):
+        handle.write(text[start:start + _WRITE_SLICE])
+
+
 def write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        _write(sys.stdout, text)
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            _write(handle, text)
     except OSError as exc:
         # an unwritable path is a configuration error, not a failed check
         raise ValueError(f"cannot write {out!r}: {exc.strerror or exc}") from exc

@@ -85,7 +85,7 @@ MUTANTS = [
            "_RAW = {int, float, str}", "_RAW = {int, float, str, bool}",
            (T_LAB + "test_render_csv_golden",)),
     Mutant("render-empty-record-braces", "src/polyiter/report.py",
-           'if item else "    {}"', 'if item else "    {\\n    }"',
+           'if item else f"    {{}}{end}"', 'if item else f"    {{\\n    }}{end}"',
            (T_LAB + "test_render_records_matches_the_per_cell_oracles",)),
     Mutant("curves-gamma-squared", "src/polyiter/curves.py",
            "gamma = primitive_dth_root(p, f.d)", "gamma = primitive_dth_root(p, f.d) ** 2 % p",
@@ -106,11 +106,18 @@ MUTANTS = [
            "Fraction((d - 1) * r, 2 << bits)", "Fraction(d * r, 2 << bits)",
            (VERIFY_QUICK, "tests/test_acceptance.py::test_criterion_7_asymptotic_trend")),
     Mutant("theorem-statistics-unhit-count-off-by-one", LAB,
-           'rec["p"] - np.count_nonzero(dist == 0)', 'rec["p"] - np.count_nonzero(dist == 0) + 1',
+           "rec.p - np.count_nonzero(dist == 0)", "rec.p - np.count_nonzero(dist == 0) + 1",
            (VERIFY_QUICK,)),
     Mutant("sweep-record-cap-per-prime-only", LAB,
            "most = cfg.per_prime * len(primes)", "most = cfg.per_prime",
            (T_LAB + "test_sweep_record_cap_bounds_the_random_policy",)),
+    Mutant("sweep-batch-sorted-on-c-then-a", LAB,
+           'batch.sort(key=attrgetter("A", "C"))', 'batch.sort(key=attrgetter("C", "A"))',
+           (T_LAB + "test_cli_sweep_bytes_pinned",
+            T_LAB + "test_random_policy_matches_independent_draw")),
+    Mutant("collision-row-tail-and-cycle-swapped", LAB,
+           "orbit.tail_len, orbit.cycle_len,", "orbit.cycle_len, orbit.tail_len,",
+           (T_LAB + "test_cli_sweep_bytes_pinned",)),
 ]
 
 

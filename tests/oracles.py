@@ -72,22 +72,22 @@ def stats_from_table(table: np.ndarray) -> dynamics.GraphStats:
     )
 
 
-def render_csv(records: list[dict], fieldnames: list[str]) -> str:
-    """The CSV text of records, a row at a time with every cell through
+def render_csv(records: list[tuple], fieldnames: list[str]) -> str:
+    """The CSV text of rows, a row at a time with every cell through
     report._cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
     for rec in records:
-        writer.writerow([_cell(rec[name]) for name in fieldnames])
+        writer.writerow([_cell(value) for value in rec])
     return buf.getvalue()
 
 
-def render_json(records: list[dict], fieldnames: list[str], metadata: dict | None) -> str:
-    """The JSON text of records, the whole payload by json.dumps with
-    indent=2, CPython's pure-Python encoder."""
+def render_json(records: list[tuple], fieldnames: list[str], metadata: dict | None) -> str:
+    """The JSON text of rows, the whole payload by json.dumps with indent=2,
+    CPython's pure-Python encoder."""
     payload = {
         "metadata": metadata or {},
-        "records": [{name: rec[name] for name in fieldnames} for rec in records],
+        "records": [dict(zip(fieldnames, rec, strict=True)) for rec in records],
     }
     return json.dumps(payload, indent=2, default=_ratio) + "\n"

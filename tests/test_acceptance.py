@@ -132,7 +132,7 @@ def test_criterion_8_statistical_theorem_check():
                               require_precondition=True)
         records, summary = lab.sweep_theorem(cfg)
         assert summary["count"] > 0
-        assert all(rec["precondition"] for rec in records)
+        assert all(rec.precondition for rec in records)
         assert summary["mean_abs_norm_err"] <= 3.0, summary
         assert summary["max_abs_norm_err"] <= 12.0, summary
         cfg4 = lab.SweepConfig(d=4, N=1, p_min=1000, p_max=5000, per_prime=20,
@@ -141,8 +141,8 @@ def test_criterion_8_statistical_theorem_check():
         records4, _ = lab.sweep_theorem(cfg4)
         assert records4
         for rec in records4:
-            assert rec["image_size"] == (rec["p"] - 1) // 4 + 1
-            assert rec["mu_p"] == rec["p"] / 4
+            assert rec.image_size == (rec.p - 1) // 4 + 1
+            assert rec.mu_p == rec.p / 4
 
 
 def test_criterion_9_corollary_sweeps():

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import math
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -13,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polyiter
-from polyiter import cli, curves, dynamics, lab, recur, report
+from polyiter import cli, curves, dynamics, graphs, lab, recur, report
 from polyiter.dynamics import poly_map
 from polyiter.errors import BudgetError
 from polyiter.field import MAX_MODULUS
@@ -39,12 +41,12 @@ def test_sweep_theorem_depth_one_closed_form():
     records, summary = lab.sweep_theorem(theorem_cfg())
     assert records
     for rec in records:
-        assert rec["image_size"] == (rec["p"] + 1) // 2
-        assert rec["norm_err"] == 0.5 / math.sqrt(rec["p"])
-    primes = sorted({rec["p"] for rec in records})
+        assert rec.image_size == (rec.p + 1) // 2
+        assert rec.norm_err == 0.5 / math.sqrt(rec.p)
+    primes = sorted({rec.p for rec in records})
     per_prime_err = {p: 0.5 / math.sqrt(p) for p in primes}
     expected_mean = sum(
-        per_prime_err[rec["p"]] for rec in records
+        per_prime_err[rec.p] for rec in records
     ) / len(records)
     assert abs(summary["mean_abs_norm_err"] - expected_mean) < 1e-12
     # the unusable literal bound is carried in the summary, never asserted
@@ -59,7 +61,7 @@ def test_depth_one_theorem_sweep_builds_no_power_table():
         d=4, N=1, p_min=1000, p_max=1100, per_prime=20, seed=20260808,
         require_precondition=True))
     assert records
-    assert all(rec["image_size"] == (rec["p"] - 1) // 4 + 1 for rec in records)
+    assert all(rec.image_size == (rec.p - 1) // 4 + 1 for rec in records)
     info = dynamics._power_table.cache_info()
     assert (info.misses, info.currsize) == (0, 0)
 
@@ -73,7 +75,7 @@ def test_depth_two_theorem_sweep_at_degree_two_builds_no_power_table():
         d=2, N=2, p_min=1000, p_max=1100, per_prime=20, seed=20260808,
         require_precondition=True))
     assert records
-    assert all(-1 <= 8 * rec["image_size"] - 3 * rec["p"] <= 9 for rec in records)
+    assert all(-1 <= 8 * rec.image_size - 3 * rec.p <= 9 for rec in records)
     info = dynamics._power_table.cache_info()
     assert (info.misses, info.currsize) == (0, 0)
 
@@ -81,18 +83,18 @@ def test_depth_two_theorem_sweep_at_degree_two_builds_no_power_table():
 def test_sweep_theorem_depth_two_example():
     records, _ = lab.sweep_theorem(lab.SweepConfig(
         d=2, N=2, p_min=5, p_max=5, policy="all"))
-    by_coeff = {(rec["A"], rec["C"]): rec for rec in records}
+    by_coeff = {(rec.A, rec.C): rec for rec in records}
     rec = by_coeff[(1, 1)]
-    assert rec["image_size"] == 3
-    assert rec["mu_p"] == 15 / 8
-    assert rec["norm_err"] == (3 - 15 / 8) / math.sqrt(5)
+    assert rec.image_size == 3
+    assert rec.mu_p == 15 / 8
+    assert rec.norm_err == (3 - 15 / 8) / math.sqrt(5)
 
 
 def test_sweep_records_sorted_and_deterministic():
     records1, _ = lab.sweep_theorem(theorem_cfg())
     records2, _ = lab.sweep_theorem(theorem_cfg())
     assert records1 == records2
-    keys = [(rec["p"], rec["A"], rec["C"]) for rec in records1]
+    keys = [(rec.p, rec.A, rec.C) for rec in records1]
     assert keys == sorted(keys)
     other_seed, _ = lab.sweep_theorem(theorem_cfg(seed=12))
     assert other_seed != records1
@@ -106,7 +108,7 @@ def test_sweep_empty_range():
 def test_require_precondition_holds_on_every_record():
     cfg = theorem_cfg(N=3, p_min=5, p_max=40, per_prime=5, require_precondition=True)
     records, summary = lab.sweep_theorem(cfg)
-    assert records and all(rec["precondition"] for rec in records)
+    assert records and all(rec.precondition for rec in records)
     assert 0 <= summary["precondition_failure_fraction"] < 1
 
 
@@ -169,7 +171,7 @@ def test_random_policy_matches_independent_draw(case):
     assert summary["precondition_failure_fraction"] == share
     for sweep in (lab.sweep_theorem, lab.collision_stats, lab.graph_sweep):
         records, _ = sweep(cfg)
-        assert [(rec["p"], rec["A"], rec["C"]) for rec in records] == sorted(keys)
+        assert [(rec.p, rec.A, rec.C) for rec in records] == sorted(keys)
 
 
 def test_random_policy_draw_cap():
@@ -178,7 +180,7 @@ def test_random_policy_draw_cap():
     cfg = lab.SweepConfig(d=2, N=4, p_min=5, p_max=29, per_prime=3, seed=1,
                           require_precondition=True)
     records, summary = lab.sweep_theorem(cfg)
-    per_prime = {p: sum(rec["p"] == p for rec in records) for p in (5, 7, 11, 13, 17, 19, 23, 29)}
+    per_prime = {p: sum(rec.p == p for rec in records) for p in (5, 7, 11, 13, 17, 19, 23, 29)}
     assert per_prime == {5: 0, 7: 3, 11: 3, 13: 3, 17: 3, 19: 3, 23: 3, 29: 3}
     assert round(summary["precondition_failure_fraction"], 4) == 0.9382
 
@@ -186,12 +188,12 @@ def test_random_policy_draw_cap():
 def test_collision_stats():
     cfg = lab.SweepConfig(d=2, p_min=5, p_max=7, policy="all")
     records, summary = lab.collision_stats(cfg)
-    by_coeff = {(rec["p"], rec["A"], rec["C"]): rec for rec in records}
-    assert by_coeff[(5, 1, 1)]["collision_index"] == 3
-    assert by_coeff[(7, 1, 1)]["collision_index"] == 4
+    by_coeff = {(rec.p, rec.A, rec.C): rec for rec in records}
+    assert by_coeff[(5, 1, 1)].collision_index == 3
+    assert by_coeff[(7, 1, 1)].collision_index == 4
     for rec in records:
-        assert 1 <= rec["collision_index"] <= rec["p"]
-        assert math.isfinite(rec["ratio"])
+        assert 1 <= rec.collision_index <= rec.p
+        assert math.isfinite(rec.ratio)
     assert summary["count"] == len(records)
     assert summary["ratio_min"] <= summary["ratio_median"] <= summary["ratio_max"]
 
@@ -199,22 +201,48 @@ def test_collision_stats():
 def test_graph_sweep():
     cfg = lab.SweepConfig(d=2, p_min=5, p_max=13, policy="all")
     records, _ = lab.graph_sweep(cfg)
-    by_coeff = {(rec["p"], rec["A"], rec["C"]): rec for rec in records}
-    assert by_coeff[(5, 1, 1)]["sum_cycle_lengths"] == 3
+    by_coeff = {(rec.p, rec.A, rec.C): rec for rec in records}
+    assert by_coeff[(5, 1, 1)].sum_cycle_lengths == 3
     for rec in records:
-        assert rec["sum_cycle_lengths"] <= rec["p"]
-        assert rec["n0"] >= 1
-        assert set(rec) == set(lab.GRAPH_FIELDS)
+        assert rec.sum_cycle_lengths <= rec.p
+        assert rec.n0 >= 1
+        assert rec._fields == lab.GRAPH_FIELDS
+
+
+# The desk-scale sweeps of each mode, with the traced bytes a sweep may peak
+# at per record.  A record held as a dict took 452, 391 and 652.  A row of
+# 16 fields is 176 bytes before its drawn A and C (64) and the counts only it
+# holds, so the graph row's bound is set above that floor.
+ROW_BYTES = [
+    (lab.sweep_theorem, dict(d=2, N=2, p_min=1000, p_max=5000, per_prime=20, seed=20260808,
+                             require_precondition=True), 300),
+    (lab.collision_stats, dict(d=2, N=1, p_min=1000, p_max=10000, per_prime=2, seed=7), 300),
+    (lab.graph_sweep, dict(d=2, N=1, p_min=1000, p_max=5000, per_prime=2, seed=7), 400),
+]
+
+
+@pytest.mark.parametrize("sweep, config, bound", ROW_BYTES,
+                         ids=[sweep.__name__ for sweep, _, _ in ROW_BYTES])
+def test_sweep_peak_traced_bytes_per_record(sweep, config, bound):
+    cfg = lab.SweepConfig(**config)
+    sweep(cfg)  # warm: the power tables and work arrays it keeps are not traced
+    tracemalloc.start()
+    try:
+        records, _ = sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) > 1000 and peak <= bound * len(records), peak / len(records)
 
 
 def test_render_csv_golden():
-    records = [{"p": 5, "ok": True, "x": 1.5}, {"p": 7, "ok": False, "x": 0.25}]
+    records = [(5, True, 1.5), (7, False, 0.25)]
     text = render_records(records, ["p", "ok", "x"], "csv")
     assert text == "p,ok,x\n5,true,1.5\n7,false,0.25\n"
 
 
 def test_render_json_shape():
-    records = [{"p": 5, "x": 1.5}]
+    records = [(5, 1.5)]
     payload = json.loads(render_records(records, ["p", "x"], "json",
                                         metadata={"seed": 3}))
     assert payload["metadata"] == {"seed": 3}
@@ -241,11 +269,12 @@ MIXED = st.one_of(*CELLS.values())
 
 @st.composite
 def record_sets(draw):
-    """(records, fieldnames): each column of one kind of cell or of any mix."""
+    """(records, fieldnames): rows whose each column is of one kind of cell
+    or of any mix."""
     names = draw(st.lists(st.text(max_size=4), unique=True, max_size=5))
     kinds = [draw(st.sampled_from([*CELLS.values(), MIXED])) for _ in names]
     n = draw(st.integers(min_value=0, max_value=6))
-    records = [{name: draw(kind) for name, kind in zip(names, kinds)} for _ in range(n)]
+    records = [tuple(draw(kind) for kind in kinds) for _ in range(n)]
     return records, names
 
 
@@ -271,10 +300,10 @@ METADATA = st.none() | st.dictionaries(
 
 @settings(max_examples=300, deadline=None)
 @given(case=record_sets(), metadata=METADATA)
-@example(case=([{"v": 2.5, "s": "a,b"}, {"v": -0.0, "s": '"q"\n'}], ["v", "s"]), metadata=None)
-@example(case=([{}, {}], []), metadata={})
-@example(case=([{"v": 10**4400}], ["v"]), metadata={"seed": 1})
-@example(case=([{"v": np.float64(0.1)}, {"v": np.int64(3)}], ["v"]), metadata={"m": [1, {}]})
+@example(case=([(2.5, "a,b"), (-0.0, '"q"\n')], ["v", "s"]), metadata=None)
+@example(case=([(), ()], []), metadata={})
+@example(case=([(10**4400,)], ["v"]), metadata={"seed": 1})
+@example(case=([(np.float64(0.1),), (np.int64(3),)], ["v"]), metadata={"m": [1, {}]})
 def test_render_records_matches_the_per_cell_oracles(case, metadata):
     # the column-wise CSV and the C-encoded JSON records against the per-cell
     # writer and json.dumps(indent=2) of the whole payload, byte for byte or
@@ -322,7 +351,7 @@ def test_every_sweep_and_cli_record_field_is_a_scalar(monkeypatch, capsys, tmp_p
     for fieldnames, records in seen:
         assert records
         for rec in records:
-            assert all(scalar(rec[name]) for name in fieldnames), rec
+            assert len(rec) == len(fieldnames) and all(map(scalar, rec)), rec
 
 
 def test_mu_v_consistency_fault_injection(monkeypatch):
@@ -383,6 +412,87 @@ def test_recur_bound_checks_name_their_failing_instance(monkeypatch):
     monkeypatch.setattr(recur, "mu_interval_sequence", interval_end_at(500, 6, 5))
     with pytest.raises(lab.CheckFailed, match=r"^ratio escapes \[0.9, 1.1\] at \(d=2, r=500\)$"):
         lab.check_asymptotic_trend()
+
+
+def test_moment_tree_and_geometry_checks_name_their_failing_instance(monkeypatch):
+    # one corrupted value at a time, away from each check's first instance:
+    # every failure names the map, level or graph it broke at
+    moment_w, distribution = dynamics.moment_w, dynamics.preimage_distribution
+    at = (13, 3, 1, 5, 2)  # p, d, A, C, N of the quick moment matrix
+
+    def one_high(k0):
+        return lambda f, N, k: moment_w(f, N, k) + ((f.p, f.d, f.A, f.C, N, k) == (*at, k0))
+
+    def piled(f, N):
+        # all p preimages on one value: mass kept, d**N exceeded
+        dist = distribution(f, N)
+        if (f.p, f.d, f.A, f.C, N) == at:
+            dist = np.zeros_like(dist)
+            dist[0] = f.p
+        return dist
+
+    instance = re.escape("at p=13 d=3 A=1 C=5 N=2") + "$"
+    monkeypatch.setattr(dynamics, "preimage_distribution", piled)
+    with pytest.raises(lab.CheckFailed, match="^preimage count above d\\*\\*N " + instance):
+        lab.check_moment_identities(desk=False)
+    monkeypatch.setattr(dynamics, "preimage_distribution", distribution)
+    for k in (1, 0):
+        monkeypatch.setattr(dynamics, "moment_w", one_high(k))
+        with pytest.raises(lab.CheckFailed, match=re.escape(f"W(N,{k}) != p ") + instance):
+            lab.check_moment_identities(desk=False)
+    monkeypatch.setattr(dynamics, "moment_w", moment_w)
+
+    # tree generation at (d, r, k) = (3, 1, 3): an order-dependent tree,
+    # an order-dependent subgraph of a complete graph, an uncovered graph
+    extension, trees = graphs.maximal_extension, graphs.enumerate_trees
+    first_tree = next(iter(trees(1, 3, 3)))
+    tree_set = set(trees(1, 3, 3))
+
+    def order_dependent_at(broken):
+        def patched(g, order="lex"):
+            return None if order == "reverse" and broken(g) else extension(g, order)
+        return patched
+
+    monkeypatch.setattr(graphs, "maximal_extension", order_dependent_at(lambda g: g == first_tree))
+    with pytest.raises(lab.CheckFailed, match=re.escape(
+            f"order-dependent extension of {first_tree.canonical()} at (d=3, r=1, k=3)") + "$"):
+        lab.check_tree_generation(desk=False)
+    monkeypatch.setattr(graphs, "maximal_extension", order_dependent_at(
+        lambda g: (g.d, g.r, g.k) == (3, 1, 3) and g not in tree_set))
+    with pytest.raises(lab.CheckFailed, match=r"^subgraph extension order-dependent in 3 1 3; "
+                                              r".* at \(d=3, r=1, k=3\)$"):
+        lab.check_tree_generation(desk=True)
+    monkeypatch.setattr(graphs, "maximal_extension", extension)
+    monkeypatch.setattr(graphs, "enumerate_trees",
+                        lambda r, k, d: [] if (d, r, k) == (3, 1, 3) else trees(r, k, d))
+    with pytest.raises(lab.CheckFailed, match=r"^graph not generated by any tree: 3 1 3; "
+                                              r".* at \(d=3, r=1, k=3\)$"):
+        lab.check_tree_generation(desk=False)
+    monkeypatch.setattr(graphs, "enumerate_trees", trees)
+
+    # decomposition at p = 13, k = 2, N = 1 over the graphs of level 0
+    g1, g2 = graphs.enumerate_complete_proper(0, 2, 2)
+    weil_check, intersection_check = curves.weil_check, curves.intersection_check
+    decomposition_check = curves.decomposition_check
+    monkeypatch.setattr(curves, "weil_check", lambda f, g, k, N: dataclasses.replace(
+        weil_check(f, g, k, N), deviation=1e9) if (f.p, g) == (13, g2) else weil_check(f, g, k, N))
+    with pytest.raises(lab.CheckFailed, match=re.escape(
+            f"Weil deviation 1000000000.0 at p=13, k=2, N=1, graph {g2.canonical()}") + "$"):
+        lab.check_decomposition_geometry()
+    monkeypatch.setattr(curves, "weil_check", weil_check)
+    monkeypatch.setattr(curves, "intersection_check", lambda f, a, b, k, N: curves.IntersectionReport(
+        common=10**6, bound=16, sets_differ=True) if f.p == 13 else intersection_check(f, a, b, k, N))
+    with pytest.raises(lab.CheckFailed, match=re.escape(
+            f"intersection bound 1000000 > 16 at p=13, k=2, N=1, graphs {g1.canonical()} "
+            f"and {g2.canonical()}") + "$"):
+        lab.check_decomposition_geometry()
+    monkeypatch.setattr(curves, "intersection_check", intersection_check)
+    monkeypatch.setattr(curves, "decomposition_check", lambda f, N, k: dataclasses.replace(
+        decomposition_check(f, N, k), direct_infinity_count=0) if (f.p, k) == (5, 3)
+        else decomposition_check(f, N, k))
+    with pytest.raises(lab.CheckFailed,
+                       match=re.escape("direct infinity 0 != gcd^(k-1)=4 at p=5, k=3") + "$"):
+        lab.check_decomposition_geometry()
 
 
 CHECK_NAMES = [
@@ -479,22 +589,22 @@ def test_cli_refuses_exact_values_past_the_digit_cap(capsys, fmt, digest):
 def test_render_records_counts_the_digits_of_a_refused_value():
     # exactly at the cap, one past it, and on both sides of a power of 10,
     # where a float log10 of the value could round either way
-    assert render_records([{"v": 10**4300 - 1}], ["v"], "json").count("9") == 4300
+    assert render_records([(10**4300 - 1,)], ["v"], "json").count("9") == 4300
     for value, digits in ((10**4300, 4301), (-(10**4300), 4301), (10**5000 - 1, 5000),
                           (10**5000, 5001), (Fraction(1, 3**9100), 4342)):
         for fmt in ("csv", "json"):
             with pytest.raises(BudgetError, match=f" {digits} digits"):
-                render_records([{"x": 1, "v": value}], ["x", "v"], fmt)
+                render_records([(1, value)], ["x", "v"], fmt)
 
 
 def test_render_records_writes_fractions_and_nothing_else_unknown():
-    rec = {"q": Fraction(1), "r": Fraction(-3, 8)}
+    rec = (Fraction(1), Fraction(-3, 8))
     assert render_records([rec], ["q", "r"], "csv") == "q,r\n1/1,-3/8\n"
     assert json.loads(render_records([rec], ["q", "r"], "json"))["records"] == [
         {"q": "1/1", "r": "-3/8"}]
     # not a Fraction, though it has a numerator and a denominator
     with pytest.raises(TypeError):
-        render_records([{"v": np.int64(5)}], ["v"], "json")
+        render_records([(np.int64(5),)], ["v"], "json")
 
 
 def test_cli_ucount(capsys):
@@ -556,6 +666,8 @@ def test_cli_sweep_json_metadata(tmp_path):
 
 # The pinned sweep bytes: stdout and stderr of every mode under both draw
 # policies, with and without the precondition filter, at d in {2, 3, 4}.
+# The "repeats" sweeps draw 15 pairs from each of p = 5, 7, 11, 13, so 8
+# (p, A, C) keys are drawn more than once.
 SWEEP_ARGS = {
     "theorem-all-N3": ["theorem", "--p-min", "3", "--p-max", "30", "--policy", "all", "--N", "3"],
     "theorem-all-N4-pre": ["theorem", "--p-min", "3", "--p-max", "30", "--policy", "all",
@@ -564,6 +676,9 @@ SWEEP_ARGS = {
     "graph-all": ["graph", "--p-min", "3", "--p-max", "30", "--policy", "all"],
     **{f"{mode}-random-pre": [mode, "--p-min", "1000", "--p-max", "1300", "--per-prime", "3",
                               "--seed", "5", "--N", "3", "--require-precondition"]
+       for mode in ("theorem", "collision", "graph")},
+    **{f"{mode}-random-repeats": [mode, "--N", "2", "--p-min", "5", "--p-max", "13",
+                                  "--per-prime", "15", "--seed", "1"]
        for mode in ("theorem", "collision", "graph")},
 }
 
@@ -652,6 +767,18 @@ SWEEP_PINS = [
      "ce0632420f769fe86035850be670418402e369f29caaefe392f7dbd02dafa12f"),
     ("graph-random-pre", 4, "json",
      "69d7f2141bfcb39b06294d0437cd2be3c26094601a99c7b6d09bf11e85cb9f27"),
+    ("theorem-random-repeats", 2, "csv",
+     "7d4450f75fc5c32dffde9cf5c8dfc20a9f70b4e393814997c26a326f7a369c33"),
+    ("theorem-random-repeats", 2, "json",
+     "6aeeeb96fe4def4a0d2d8f0b72afe8839d2d5a15d2238914c2681649c70c1a31"),
+    ("collision-random-repeats", 2, "csv",
+     "d5983164d7ff1561e1cb7699374cc891d622450373ae2691b8f9d17ae57771a9"),
+    ("collision-random-repeats", 2, "json",
+     "79b017f9dffc1739ea3eb717eb526038f4f13271a0d3c1d7a54774c8f2f15d52"),
+    ("graph-random-repeats", 2, "csv",
+     "01d82938c009cbc845f76b5d8946c7d7e4fd846de22d15fd15f4755651c2ea02"),
+    ("graph-random-repeats", 2, "json",
+     "26fb541c3945ca21e059f0c72396dd0d79dba9b90d5b434cb0fa9e89df536a0f"),
 ]
 
 
