@@ -1,17 +1,20 @@
 """Brute-force point counts on the projective varieties cut out by iterate
 equations.  One kernel serves every count: a chart grid is the AND of the
-equations broadcast over whole-domain iterate tables, taken at per-axis
-index arrays.  The x0 = 1 chart is the full (p,)*k grid; on x0 = 0 only the
-slices whose first nonzero coordinate is 1 are built.  A point set is its
-chart masks, so union is OR, intersection is AND and counts are
-count_nonzero.  Exactness over cleverness; budget guards keep the grids at
-desk scale.
+equations' masks, each an outer comparison of whole-domain iterate tables
+taken at the chart's index arrays on its two axes.  The x0 = 1 chart is the
+full (p,)*k grid; on x0 = 0 only the slices whose first nonzero coordinate is
+1 are built.  One driver walks the charts a slab of rows at a time for any
+number of systems at once, so the decomposition check holds a slab, never a
+grid.  A point set is its chart masks, so union is OR, intersection is AND
+and counts are count_nonzero.  Exactness over cleverness; budget guards keep
+the grids at desk scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -22,6 +25,9 @@ from .graphs import IterGraph, enumerate_complete_proper
 
 # Largest prime per tuple size; beyond this the chart scans stop being desk scale.
 MAX_P_BY_K = {1: 211, 2: 211, 3: 101}
+
+# Cells in one slab of a chart walk, rounded down to whole rows and at least one row.
+SLAB_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,71 +138,125 @@ def _check_budget(p: int, k: int) -> None:
 
 
 def _chart(
-    p: int, gamma: int, equations: list[tuple[int, int, int, int]],
-    tables: dict[int, np.ndarray], axes: list[np.ndarray],
+    masks: list[np.ndarray], equations: list[tuple[int, int, int, int]],
+    shape: list[int], s: int, cut: slice,
 ) -> np.ndarray:
-    """Boolean grid over the coordinates axes[0] x ... x axes[k-1] (index
-    arrays): the AND of every equation's level table, taken at the indices
-    of its two axes and broadcast onto them, the b side scaled by
-    gamma**twist mod p."""
-    k = len(axes)
-    grid = np.ones([len(axis) for axis in axes], dtype=bool)
-    for a, b, level, twist in equations:
-        tab = tables[level]
-        cond = np.equal.outer(tab[axes[a - 1]], pow(gamma, twist, p) * tab[axes[b - 1]] % p)
+    """Boolean grid over one slab of a chart, `shape` with axis s cut to the
+    rows `cut`: the AND of every equation's chart mask (masks[i], over the
+    chart's indices on the equation's two axes), its axis-s rows cut, broadcast
+    onto the slab."""
+    k = len(shape)
+    grid = np.ones(shape, dtype=bool)
+    for (a, b, _, _), cond in zip(equations, masks):
+        if a - 1 == s:
+            cond = cond[cut]
+        elif b - 1 == s:
+            cond = cond[:, cut]
         # a C-order reshape inserts the singleton axes around a-1 < b-1
-        shape = [1] * k
-        shape[a - 1], shape[b - 1] = cond.shape
-        grid &= cond.reshape(shape)
+        view = [1] * k
+        view[a - 1], view[b - 1] = cond.shape
+        grid &= cond.reshape(view)
     return grid
 
 
-def _variety(
-    f: FieldParams, k: int, equations: list[tuple[int, int, int, int]]
-) -> ProjectivePointSet:
-    """Exact projective point set of the system F^level(x_a) = gamma**twist *
-    F^level(x_b), one (a, b, level, twist) tuple with a < b per equation,
-    gamma the fixed primitive d-th root of unity, primitive_dth_root(p, d).
+def _scan(f: FieldParams, k: int, systems: list[list[tuple[int, int, int, int]]]):
+    """Walk the charts of several systems' point sets together, a slab at a
+    time; the caller checks the budget first.
 
-    The affine mask is the x0 = 1 chart over every coordinate.  On x0 = 0
-    only the points whose first nonzero coordinate is the 1 at position lead
-    are built: coordinates 0 before lead, 1 at lead and any after it, a
-    grid of p**(k-lead) cells per lead.
+    A system lists equations F^level(x_a) = gamma**twist * F^level(x_b) as
+    (a, b, level, twist) tuples, a < b, gamma = primitive_dth_root(p, d).
+    gamma and the iterate tables are found once per call.  The charts are
+    the x0 = 1 grid and, per lead, the x0 = 0 points whose first nonzero
+    coordinate is the 1 at position lead (0 before it, any value after it).
+    A slab is whole rows of a chart's first axis of more than one index, at
+    most SLAB_CELLS cells or one row.
+
+    Yields (at_infinity, start, grids) per slab in ProjectivePointSet order,
+    start the slab's offset in its chart's flat mask and grids each system's
+    grid over the slab, built on demand and read before the next slab.  An
+    equation's mask is built once per chart and dropped in the chart's last
+    slab once the last system that reads it has read it.
     """
     p = f.p
-    _check_budget(p, k)
     gamma = primitive_dth_root(p, f.d)
-    levels = {level for _, _, level, _ in equations}
-    affine = {level: _iterate_table(f, level, False) for level in levels}
-    infinity = {level: _iterate_table(f, level, True) for level in levels}
+    levels = {level for system in systems for _, _, level, _ in system}
+    tables = {at_infinity: {level: _iterate_table(f, level, at_infinity) for level in levels}
+              for at_infinity in (False, True)}
+    last_reader = {eq: i for i, system in enumerate(systems) for eq in system}
     every, zero, one = np.arange(p), np.array([0]), np.array([1])
-    return ProjectivePointSet(
-        affine=_chart(p, gamma, equations, affine, [every] * k),
-        infinity=np.concatenate([
-            _chart(p, gamma, equations, infinity,
-                   [zero] * (lead - 1) + [one] + [every] * (k - lead)).ravel()
-            for lead in range(1, k + 1)
-        ]),
-    )
+
+    def grids(tab, axes, masks, shape, s, cut, final):
+        for i, system in enumerate(systems):
+            conds = []
+            for eq in system:
+                cond = masks.get(eq)
+                if cond is None:
+                    a, b, level, twist = eq
+                    cond = masks[eq] = np.equal.outer(
+                        tab[level][axes[a - 1]],
+                        pow(gamma, twist, p) * tab[level][axes[b - 1]] % p)
+                if final and last_reader[eq] == i:
+                    del masks[eq]
+                conds.append(cond)
+            yield _chart(conds, system, shape, s, cut)
+
+    start = 0
+    for lead in range(k + 1):
+        axes = [every] * k if lead == 0 else [zero] * (lead - 1) + [one] + [every] * (k - lead)
+        s = min(lead, k - 1)
+        row_cells = p ** (k - 1 - s)
+        rows, masks = max(1, SLAB_CELLS // row_cells), {}
+        n = len(axes[s])
+        for lo in range(0, n, rows):
+            cut = slice(lo, min(lo + rows, n))
+            shape = [len(axis) for axis in axes]
+            shape[s] = cut.stop - lo
+            yield lead > 0, start + lo * row_cells, grids(
+                tables[lead > 0], axes, masks, shape, s, cut, cut.stop == n)
+        start = 0 if lead == 0 else start + n * row_cells
 
 
-def count_curve_points(f: FieldParams, g: IterGraph) -> ProjectivePointSet:
-    """Exact projective point set of the variety attached to a labeled graph.
-    A level -1 edge (x_a = x_b) is the level-0 equation with twist 0."""
-    if g.d != f.d:
-        raise ValueError(f"graph has d={g.d}, map has d={f.d}")
+def _point_set(
+    f: FieldParams, k: int, equations: list[tuple[int, int, int, int]]
+) -> ProjectivePointSet:
+    """Exact projective point set of one system, its slabs written into the
+    full chart masks."""
+    p = f.p
+    _check_budget(p, k)
+    affine = np.empty(p**k, dtype=bool)
+    infinity = np.empty((p**k - 1) // (p - 1), dtype=bool)
+    for at_infinity, start, grids in _scan(f, k, [equations]):
+        grid = next(grids)
+        (infinity if at_infinity else affine)[start:start + grid.size] = grid.ravel()
+    return ProjectivePointSet(affine.reshape((p,) * k), infinity)
+
+
+def _graph_equations(g: IterGraph) -> list[tuple[int, int, int, int]]:
+    """A level -1 edge (x_a = x_b) is the level-0 equation with twist 0,
+    since level 0 is the identity on both charts."""
     equations = []
     for a, b in g.edge_pairs():
         xi = g.xi(a, b)
         equations.append((a, b, 0, 0) if xi == -1 else (a, b, xi, g.eta(a, b)))
-    return _variety(f, g.k, equations)
+    return equations
+
+
+def _cr_equations(N: int, k: int) -> list[tuple[int, int, int, int]]:
+    return [(1, b, N, 0) for b in range(2, k + 1)]
+
+
+def count_curve_points(f: FieldParams, g: IterGraph) -> ProjectivePointSet:
+    """Exact projective point set of the variety attached to a labeled graph."""
+    if g.d != f.d:
+        raise ValueError(f"graph has d={g.d}, map has d={f.d}")
+    return _point_set(f, g.k, _graph_equations(g))
 
 
 def count_cr_points(f: FieldParams, N: int, k: int) -> ProjectivePointSet:
     """Exact projective point set of the equal-N-th-iterates system."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
-    return _variety(f, k, [(1, b, N, 0) for b in range(2, k + 1)])
+    return _point_set(f, k, _cr_equations(N, k))
 
 
 def decomposition_check(f: FieldParams, N: int, k: int) -> DecompositionReport:
@@ -208,15 +268,26 @@ def decomposition_check(f: FieldParams, N: int, k: int) -> DecompositionReport:
     The direct count is gcd(p-1, d**N)**(k-1): at x0 = 0 the system reads
     x_1**(d**N) = ... = x_k**(d**N), which forces x_1 = 1 after normalizing,
     and each other x_i is a root of x**(d**N) = 1.
+
+    One walk over the charts serves every variety: per slab the graph grids
+    are OR'd into the union, which is compared with C_N's grid and counted,
+    so nothing outlives its slab.
     """
     if N < 0:
         raise ValueError("decomposition needs N >= 0 (graphs live at level N-1)")
-    first, *rest = enumerate_complete_proper(N - 1, k, f.d)
-    # a running in-place OR: one pair of masks, never one per graph
-    union = count_curve_points(f, first)
-    for g in rest:
-        union |= count_curve_points(f, g)
-    cr = count_cr_points(f, N, k)
+    _check_budget(f.p, k)
+    systems = [_graph_equations(g) for g in enumerate_complete_proper(N - 1, k, f.d)]
+    union_total, cr_counts, union_equals_cr = 0, [0, 0], True
+    # C_N's grid is built last, after the union's, so a slab holds three grids
+    for at_infinity, _, grids in _scan(f, k, [*systems, _cr_equations(N, k)]):
+        union = next(grids)
+        for grid in islice(grids, len(systems) - 1):
+            union |= grid
+        cr = next(grids)
+        union_total += int(np.count_nonzero(union))
+        cr_counts[at_infinity] += int(np.count_nonzero(cr))
+        union_equals_cr = union_equals_cr and bool(np.array_equal(union, cr))
+    cr_affine, cr_infinity = cr_counts
     w = moment_w(f, N, k)
     gcd_val = math.gcd(f.p - 1, f.d**N)
     formula_term = (f.p - 1) * gcd_val ** (k - 2) if k >= 2 else 0
@@ -225,24 +296,28 @@ def decomposition_check(f: FieldParams, N: int, k: int) -> DecompositionReport:
         d=f.d,
         N=N,
         k=k,
-        union_total=union.total,
-        cr_total=cr.total,
-        cr_affine=cr.affine_count,
+        union_total=union_total,
+        cr_total=cr_affine + cr_infinity,
+        cr_affine=cr_affine,
         w_value=w,
         formula_infinity_term=formula_term,
-        direct_infinity_count=cr.infinity_count,
-        union_equals_cr=union == cr,
-        affine_equals_w=cr.affine_count == w,
+        direct_infinity_count=cr_infinity,
+        union_equals_cr=union_equals_cr,
+        affine_equals_w=cr_affine == w,
     )
+
+
+def weil_deviation(p: int, total: int) -> float:
+    """Deviation of a point count from p + 1, in units of sqrt(p)."""
+    return abs(total - (p + 1)) / math.sqrt(p)
 
 
 def weil_check(f: FieldParams, g: IterGraph, k: int, N: int) -> WeilReport:
     """Deviation of the point count from p + 1, in units of sqrt(p)."""
     if g.k != k:
         raise ValueError(f"graph has k={g.k}, expected k={k}")
-    pts = count_curve_points(f, g)
-    deviation = abs(pts.total - (f.p + 1)) / math.sqrt(f.p)
-    return WeilReport(total=pts.total, deviation=deviation, bound=f.d ** (2 * k * N))
+    total = count_curve_points(f, g).total
+    return WeilReport(total=total, deviation=weil_deviation(f.p, total), bound=f.d ** (2 * k * N))
 
 
 def intersection_check(

@@ -484,7 +484,7 @@ def check_theorem_statistics(desk: bool = True) -> str:
 
 
 def check_corollary_sweeps(desk: bool = True) -> str:
-    """Determinism, pigeonhole sanity, and schema of both sweeps."""
+    """Determinism, pigeonhole sanity, and the identities each row's fields obey."""
     p_max = 10000 if desk else 3000
     cfg = SweepConfig(d=2, N=1, p_min=1000, p_max=p_max, per_prime=2,
                       policy="random", seed=7)
@@ -499,14 +499,18 @@ def check_corollary_sweeps(desk: bool = True) -> str:
              == render_records(gr2, GRAPH_FIELDS, "json"),
              "graph sweep not deterministic")
     for rec in col1:
-        _require(1 <= rec.collision_index <= rec.p, f"collision index out of range at p={rec.p}")
-        _require(math.isfinite(rec.ratio), "non-finite ratio")
-        _require(rec._fields == COLLISION_FIELDS, "collision schema mismatch")
+        _require(1 <= rec.collision_index <= rec.p and math.isfinite(rec.ratio)
+                 and rec.collision_index == rec.tail_len + rec.cycle_len and rec.cycle_len >= 1,
+                 f"collision row identities fail at (p, A, C) = ({rec.p}, {rec.A}, {rec.C})")
     for rec in gr1:
-        _require(rec.sum_cycle_lengths <= rec.p, f"cycle mass exceeds p at p={rec.p}")
-        _require(rec._fields == GRAPH_FIELDS, "graph schema mismatch")
-        _require(math.isfinite(rec.cycle_bound) and math.isfinite(rec.v2_limit),
-                 "non-finite bound")
+        _require(1 <= rec.num_cycles <= rec.sum_cycle_lengths <= rec.p
+                 and rec.max_tail <= rec.sum_precyclic_path_lengths
+                 and (rec.cycle_bound_ok, rec.precyclic_bound_ok, rec.v2_ok) == (
+                     rec.sum_cycle_lengths <= rec.cycle_bound,
+                     rec.sum_precyclic_path_lengths <= rec.precyclic_bound,
+                     rec.image_n0 < rec.v2_limit)
+                 and math.isfinite(rec.cycle_bound) and math.isfinite(rec.v2_limit),
+                 f"graph row identities fail at (p, A, C) = ({rec.p}, {rec.A}, {rec.C})")
     return f"{len(col1)} collision and {len(gr1)} graph records"
 
 

@@ -41,6 +41,9 @@ LAB = "src/polyiter/lab.py"
 T_DYN = "tests/test_dynamics.py::"
 T_LAB = "tests/test_lab.py::"
 VERIFY_QUICK = T_LAB + "test_verify_all_quick_is_green"
+CURVES = "src/polyiter/curves.py"
+T_CURVES = "tests/test_curves.py::"
+SLABS = T_CURVES + "test_decomposition_slabs_match_the_full_grid_masks"
 
 MUTANTS = [
     Mutant("first-repeat-limit-off-by-one", DYNAMICS,
@@ -87,9 +90,22 @@ MUTANTS = [
     Mutant("render-empty-record-braces", "src/polyiter/report.py",
            'if item else f"    {{}}{end}"', 'if item else f"    {{\\n    }}{end}"',
            (T_LAB + "test_render_records_matches_the_per_cell_oracles",)),
-    Mutant("curves-gamma-squared", "src/polyiter/curves.py",
+    Mutant("curves-gamma-squared", CURVES,
            "gamma = primitive_dth_root(p, f.d)", "gamma = primitive_dth_root(p, f.d) ** 2 % p",
-           ("tests/test_curves.py::test_decomposition_matrix",)),
+           (T_CURVES + "test_decomposition_matrix",)),
+    Mutant("slab-walk-skips-the-last-partial-slab", CURVES,
+           "for lo in range(0, n, rows):", "for lo in range(0, max(n - rows + 1, 1), rows):",
+           (T_CURVES + "test_decomposition_matrix", SLABS)),
+    Mutant("slab-walk-infinity-slices-on-their-first-slab-only", CURVES,
+           "for lo in range(0, n, rows):", "for lo in range(0, n if lead == 0 else 1, rows):",
+           (SLABS,)),
+    Mutant("slab-union-count-reset-at-each-slab", CURVES,
+           "union_total += int(np.count_nonzero(union))",
+           "union_total = int(np.count_nonzero(union))",
+           (SLABS, T_CURVES + "test_cli_curves_and_decomp_bytes_pinned")),
+    Mutant("slab-union-reset-at-each-graph", CURVES,
+           "union |= grid", "union = grid",
+           (T_CURVES + "test_decomposition_matrix", SLABS)),
     Mutant("image-zero-count-off-by-one", "src/polyiter/cli.py",
            '"zero_preimages": args.p - size', '"zero_preimages": args.p - size + 1',
            (T_LAB + "test_cli_image_counts_without_the_full_domain_histogram",)),
@@ -115,6 +131,10 @@ MUTANTS = [
            'batch.sort(key=attrgetter("A", "C"))', 'batch.sort(key=attrgetter("C", "A"))',
            (T_LAB + "test_cli_sweep_bytes_pinned",
             T_LAB + "test_random_policy_matches_independent_draw")),
+    Mutant("collision-row-index-one-high", LAB,
+           "orbit.collision_index, orbit.collision_index * loglog / p",
+           "orbit.collision_index + 1, orbit.collision_index * loglog / p",
+           (VERIFY_QUICK,)),
     Mutant("collision-row-tail-and-cycle-swapped", LAB,
            "orbit.tail_len, orbit.cycle_len,", "orbit.cycle_len, orbit.tail_len,",
            (T_LAB + "test_cli_sweep_bytes_pinned",)),

@@ -1,8 +1,11 @@
 import hashlib
+import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 from itertools import combinations
 from itertools import product as iproduct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -303,6 +306,83 @@ def test_decomposition_matrix(p, d, N, k, A, C):
     assert report.union_equals_cr and report.affine_equals_w
     # at x0 = 0 the first coordinate is 1 and the rest solve x**(d**N) = 1
     assert report.direct_infinity_count == math.gcd(p - 1, d**N) ** (k - 1)
+
+
+SMALL_PRIMES = [p for p in range(3, 102) if all(p % q for q in range(2, p))]
+
+
+@st.composite
+def slab_cases(draw):
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    d = draw(st.sampled_from([d for d in range(2, 7) if (p - 1) % d == 0]))
+    N, k = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    A, C = draw(st.integers(1, p - 1)), draw(st.integers(0, p - 1))
+    # one row of every chart, two and seven rows of the affine grid (neither
+    # divides p > 7), or the default
+    slab = draw(st.sampled_from([1, 2 * p ** (k - 1), 7 * p ** (k - 1), curves.SLAB_CELLS]))
+    return p, d, N, k, A, C, slab
+
+
+@example(case=(13, 2, 1, 2, 3, 7, 1))
+@example(case=(13, 3, 1, 3, 3, 7, 1))
+@example(case=(13, 3, 2, 3, 3, 7, 2 * 13**2))
+@example(case=(101, 5, 1, 3, 3, 5, curves.SLAB_CELLS))
+@settings(max_examples=50, deadline=None)
+@given(case=slab_cases())
+def test_decomposition_slabs_match_the_full_grid_masks(case):
+    # every report field against the OR of the public graph masks and the
+    # C_N masks, built with each chart in one slab, as whole grids
+    p, d, N, k, A, C, slab = case
+    f = poly_map(p, d, A, C)
+    with mock.patch.object(curves, "SLAB_CELLS", p**k):
+        graph_list = graphs.enumerate_complete_proper(N - 1, k, d)
+        union = curves.count_curve_points(f, graph_list[0])
+        for g in graph_list[1:]:
+            union |= curves.count_curve_points(f, g)
+        cr = curves.count_cr_points(f, N, k)
+    w = dynamics.moment_w(f, N, k)
+    gcd_val = math.gcd(p - 1, d**N)
+    expected = curves.DecompositionReport(
+        p=p, d=d, N=N, k=k, union_total=union.total, cr_total=cr.total,
+        cr_affine=cr.affine_count, w_value=w,
+        formula_infinity_term=(p - 1) * gcd_val ** (k - 2) if k >= 2 else 0,
+        direct_infinity_count=cr.infinity_count, union_equals_cr=union == cr,
+        affine_equals_w=cr.affine_count == w)
+    with mock.patch.object(curves, "SLAB_CELLS", slab):
+        assert curves.decomposition_check(f, N, k) == expected
+        assert curves.count_cr_points(f, N, k) == cr
+
+
+def test_decomposition_traced_peak_is_a_slab_not_a_grid(monkeypatch):
+    # 2.98 and 27.0 MiB when the check held whole (p,)*k chart grids
+    for p, d, mib in ((101, 5, 1.5), (211, 3, 4)):
+        monkeypatch.setitem(curves.MAX_P_BY_K, 3, p)
+        f = poly_map(p, d, 3, 5)
+        tracemalloc.start()
+        try:
+            report = curves.decomposition_check(f, 1, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.union_equals_cr and report.affine_equals_w
+        assert peak <= mib * 2**20, (p, d, peak)
+
+
+def test_one_root_search_per_check_and_per_cli_graph(monkeypatch, capsys):
+    calls = []
+
+    def counted(p, d):
+        calls.append((p, d))
+        return primitive_dth_root(p, d)
+
+    monkeypatch.setattr(curves, "primitive_dth_root", counted)
+    curves.decomposition_check(poly_map(101, 5, 3, 5), 1, 3)
+    assert calls == [(101, 5)]
+    calls.clear()
+    assert cli.main(["curves", "--p", "13", "--d", "2", "--A", "3", "--C", "7",
+                     "--N", "1", "--k", "2", "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert len(calls) == len(records) == 2
 
 
 def test_decomposition_depth_zero():
