@@ -204,14 +204,14 @@ def _run_curves(args) -> int:
         graph_list = [g]
     else:
         graph_list = graphs.enumerate_complete_proper(level, args.k, args.d)
+    counts, _ = curves.graph_counts(f, graph_list)
     records = []
-    for g in graph_list:
-        pts = curves.count_curve_points(f, g)
-        total = pts.total
+    for g, (affine, infinity) in zip(graph_list, counts):
+        total = affine + infinity
         records.append({
             "p": args.p, "d": args.d, "A": args.A, "C": args.C,
             "N": args.N, "k": g.k, "graph": g.canonical(),
-            "affine": pts.affine_count, "infinity": pts.infinity_count,
+            "affine": affine, "infinity": infinity,
             "total": total, "weil_dev": curves.weil_deviation(args.p, total),
         })
     _emit(records, args)

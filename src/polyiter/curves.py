@@ -4,10 +4,10 @@ equations' masks, each an outer comparison of whole-domain iterate tables
 taken at the chart's index arrays on its two axes.  The x0 = 1 chart is the
 full (p,)*k grid; on x0 = 0 only the slices whose first nonzero coordinate is
 1 are built.  One driver walks the charts a slab of rows at a time for any
-number of systems at once, so the decomposition check holds a slab, never a
-grid.  A point set is its chart masks, so union is OR, intersection is AND
-and counts are count_nonzero.  Exactness over cleverness; budget guards keep
-the grids at desk scale.
+number of systems at once, so no count holds a grid, only a slab: the
+decomposition check ORs a slab's graph grids and compares them with C_N's,
+and the count walk sums each system's cells and each pair's common cells.
+Exactness over cleverness; budget guards keep the walks at desk scale.
 """
 
 from __future__ import annotations
@@ -26,75 +26,9 @@ from .graphs import IterGraph, enumerate_complete_proper
 # Largest prime per tuple size; beyond this the chart scans stop being desk scale.
 MAX_P_BY_K = {1: 211, 2: 211, 3: 101}
 
-# Cells in one slab of a chart walk, rounded down to whole rows and at least one row.
+# Cells of all systems' grids in one slab of a chart walk, rounded down to
+# whole rows and at least one row.
 SLAB_CELLS = 1 << 16
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectivePointSet:
-    """A projective point set held as its two chart masks.
-
-    affine: the x0 = 1 grid, shape (p,)*k; cell x is the point (1, *x).
-    infinity: the x0 = 0 points whose first nonzero coordinate is 1, as one
-    flat mask: the slices grid[0, ..., 0, 1] with lead = 1..k indices
-    (p**(k-lead) cells each), raveled and concatenated in lead order.
-
-    Union is an in-place OR (|=), intersection is AND (&), equality is
-    array_equal and counts are count_nonzero.
-    """
-
-    affine: np.ndarray
-    infinity: np.ndarray
-
-    @property
-    def affine_count(self) -> int:
-        return int(np.count_nonzero(self.affine))
-
-    @property
-    def infinity_count(self) -> int:
-        return int(np.count_nonzero(self.infinity))
-
-    @property
-    def total(self) -> int:
-        return self.affine_count + self.infinity_count
-
-    def __and__(self, other: ProjectivePointSet) -> ProjectivePointSet:
-        return ProjectivePointSet(self.affine & other.affine, self.infinity & other.infinity)
-
-    def __ior__(self, other: ProjectivePointSet) -> ProjectivePointSet:
-        np.logical_or(self.affine, other.affine, out=self.affine)
-        np.logical_or(self.infinity, other.infinity, out=self.infinity)
-        return self
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProjectivePointSet):
-            return NotImplemented
-        return bool(
-            np.array_equal(self.affine, other.affine)
-            and np.array_equal(self.infinity, other.infinity)
-        )
-
-
-@dataclass(frozen=True)
-class WeilReport:
-    total: int
-    deviation: float
-    bound: int
-
-    @property
-    def ok(self) -> bool:
-        return self.deviation <= self.bound
-
-
-@dataclass(frozen=True)
-class IntersectionReport:
-    common: int
-    bound: int
-    sets_differ: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.common <= self.bound
 
 
 @dataclass(frozen=True)
@@ -159,7 +93,7 @@ def _chart(
     return grid
 
 
-def _scan(f: FieldParams, k: int, systems: list[list[tuple[int, int, int, int]]]):
+def _scan(f: FieldParams, k: int, systems: list[list[tuple[int, int, int, int]]], cells: int):
     """Walk the charts of several systems' point sets together, a slab at a
     time; the caller checks the budget first.
 
@@ -169,13 +103,13 @@ def _scan(f: FieldParams, k: int, systems: list[list[tuple[int, int, int, int]]]
     the x0 = 1 grid and, per lead, the x0 = 0 points whose first nonzero
     coordinate is the 1 at position lead (0 before it, any value after it).
     A slab is whole rows of a chart's first axis of more than one index, at
-    most SLAB_CELLS cells or one row.
+    most `cells` cells or one row.
 
-    Yields (at_infinity, start, grids) per slab in ProjectivePointSet order,
-    start the slab's offset in its chart's flat mask and grids each system's
-    grid over the slab, built on demand and read before the next slab.  An
-    equation's mask is built once per chart and dropped in the chart's last
-    slab once the last system that reads it has read it.
+    Yields (at_infinity, grids) per slab, the affine grid's slabs first and
+    then the infinity slices' in lead order, grids each system's grid over
+    the slab, built on demand and read before the next slab.  An equation's
+    mask is built once per chart and dropped in the chart's last slab once
+    the last system that reads it has read it.
     """
     p = f.p
     gamma = primitive_dth_root(p, f.d)
@@ -200,35 +134,16 @@ def _scan(f: FieldParams, k: int, systems: list[list[tuple[int, int, int, int]]]
                 conds.append(cond)
             yield _chart(conds, system, shape, s, cut)
 
-    start = 0
     for lead in range(k + 1):
         axes = [every] * k if lead == 0 else [zero] * (lead - 1) + [one] + [every] * (k - lead)
         s = min(lead, k - 1)
-        row_cells = p ** (k - 1 - s)
-        rows, masks = max(1, SLAB_CELLS // row_cells), {}
+        rows, masks = max(1, cells // p ** (k - 1 - s)), {}
         n = len(axes[s])
         for lo in range(0, n, rows):
             cut = slice(lo, min(lo + rows, n))
             shape = [len(axis) for axis in axes]
             shape[s] = cut.stop - lo
-            yield lead > 0, start + lo * row_cells, grids(
-                tables[lead > 0], axes, masks, shape, s, cut, cut.stop == n)
-        start = 0 if lead == 0 else start + n * row_cells
-
-
-def _point_set(
-    f: FieldParams, k: int, equations: list[tuple[int, int, int, int]]
-) -> ProjectivePointSet:
-    """Exact projective point set of one system, its slabs written into the
-    full chart masks."""
-    p = f.p
-    _check_budget(p, k)
-    affine = np.empty(p**k, dtype=bool)
-    infinity = np.empty((p**k - 1) // (p - 1), dtype=bool)
-    for at_infinity, start, grids in _scan(f, k, [equations]):
-        grid = next(grids)
-        (infinity if at_infinity else affine)[start:start + grid.size] = grid.ravel()
-    return ProjectivePointSet(affine.reshape((p,) * k), infinity)
+            yield lead > 0, grids(tables[lead > 0], axes, masks, shape, s, cut, cut.stop == n)
 
 
 def _graph_equations(g: IterGraph) -> list[tuple[int, int, int, int]]:
@@ -245,18 +160,59 @@ def _cr_equations(N: int, k: int) -> list[tuple[int, int, int, int]]:
     return [(1, b, N, 0) for b in range(2, k + 1)]
 
 
-def count_curve_points(f: FieldParams, g: IterGraph) -> ProjectivePointSet:
-    """Exact projective point set of the variety attached to a labeled graph."""
-    if g.d != f.d:
-        raise ValueError(f"graph has d={g.d}, map has d={f.d}")
-    return _point_set(f, g.k, _graph_equations(g))
+def _count(
+    f: FieldParams, k: int, systems: list[list[tuple[int, int, int, int]]]
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Each system's (affine, infinity) count and each pair's common count,
+    in one walk whose slab holds every system's grid in SLAB_CELLS cells.
+
+    A cell on two varieties is covered by two grids, so each pair's common
+    cells are among the few that more than one grid covers; common is the
+    product of the systems' membership at those cells, its diagonal each
+    system's total.
+    """
+    _check_budget(f.p, k)
+    n = len(systems)
+    counts = np.zeros((n, 2), dtype=np.int64)
+    common = np.zeros((n, n), dtype=np.int64)
+    for at_infinity, grids in _scan(f, k, systems, SLAB_CELLS // n):
+        held = [grid.ravel() for grid in grids]
+        cover = np.zeros(held[0].size, dtype=np.min_scalar_type(n))
+        for grid in held:
+            cover += grid
+        shared = np.flatnonzero(cover > 1)
+        member = np.array([grid[shared] for grid in held], dtype=np.int64)
+        counts[:, int(at_infinity)] += [np.count_nonzero(grid) for grid in held]
+        common += member @ member.T
+    np.fill_diagonal(common, counts.sum(axis=1))
+    return [(int(affine), int(infinity)) for affine, infinity in counts], common
 
 
-def count_cr_points(f: FieldParams, N: int, k: int) -> ProjectivePointSet:
-    """Exact projective point set of the equal-N-th-iterates system."""
+def graph_counts(
+    f: FieldParams, graph_list: list[IterGraph]
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """(counts, common) over the varieties of graphs of one k: counts[i] is
+    graph i's (affine, infinity) point count and common[i, j] the number of
+    points on both graph i's and graph j's variety.  Two point sets are equal
+    exactly when 0 < common[i, j] == common[i, i] == common[j, j]."""
+    for g in graph_list:
+        if g.d != f.d:
+            raise ValueError(f"graph has d={g.d}, map has d={f.d}")
+        if g.k != graph_list[0].k:
+            raise ValueError(f"graph has k={g.k}, expected k={graph_list[0].k}")
+    return _count(f, graph_list[0].k, [_graph_equations(g) for g in graph_list])
+
+
+def count_curve_points(f: FieldParams, g: IterGraph) -> tuple[int, int]:
+    """(affine, infinity) point count of the variety attached to a labeled graph."""
+    return graph_counts(f, [g])[0][0]
+
+
+def count_cr_points(f: FieldParams, N: int, k: int) -> tuple[int, int]:
+    """(affine, infinity) point count of the equal-N-th-iterates system."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
-    return _point_set(f, k, _cr_equations(N, k))
+    return _count(f, k, [_cr_equations(N, k)])[0][0]
 
 
 def decomposition_check(f: FieldParams, N: int, k: int) -> DecompositionReport:
@@ -279,7 +235,7 @@ def decomposition_check(f: FieldParams, N: int, k: int) -> DecompositionReport:
     systems = [_graph_equations(g) for g in enumerate_complete_proper(N - 1, k, f.d)]
     union_total, cr_counts, union_equals_cr = 0, [0, 0], True
     # C_N's grid is built last, after the union's, so a slab holds three grids
-    for at_infinity, _, grids in _scan(f, k, [*systems, _cr_equations(N, k)]):
+    for at_infinity, grids in _scan(f, k, [*systems, _cr_equations(N, k)], SLAB_CELLS):
         union = next(grids)
         for grid in islice(grids, len(systems) - 1):
             union |= grid
@@ -310,30 +266,3 @@ def decomposition_check(f: FieldParams, N: int, k: int) -> DecompositionReport:
 def weil_deviation(p: int, total: int) -> float:
     """Deviation of a point count from p + 1, in units of sqrt(p)."""
     return abs(total - (p + 1)) / math.sqrt(p)
-
-
-def weil_check(f: FieldParams, g: IterGraph, k: int, N: int) -> WeilReport:
-    """Deviation of the point count from p + 1, in units of sqrt(p)."""
-    if g.k != k:
-        raise ValueError(f"graph has k={g.k}, expected k={k}")
-    total = count_curve_points(f, g).total
-    return WeilReport(total=total, deviation=weil_deviation(f.p, total), bound=f.d ** (2 * k * N))
-
-
-def intersection_check(
-    f: FieldParams, g1: IterGraph, g2: IterGraph, k: int, N: int
-) -> IntersectionReport:
-    """Common points of two distinct graph varieties, with the Bezout-style
-    bound, plus a distinctness witness for the full point sets."""
-    if not g1.k == g2.k == k:
-        raise ValueError(f"graphs have k={g1.k} and k={g2.k}, expected k={k}")
-    if g1 == g2:
-        raise ValueError("intersection check needs two distinct graphs")
-    pts1 = count_curve_points(f, g1)
-    pts2 = count_curve_points(f, g2)
-    sets_differ = pts1 != pts2 if (pts1.total and pts2.total) else True
-    return IntersectionReport(
-        common=(pts1 & pts2).total,
-        bound=f.d ** (2 * k * N),
-        sets_differ=sets_differ,
-    )

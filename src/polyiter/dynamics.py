@@ -116,15 +116,6 @@ def _reduce(y: np.ndarray, p: int, q: np.ndarray) -> np.ndarray:
     return y
 
 
-def _arange(n: int) -> np.ndarray:
-    """0, 1, ..., n - 1 for n <= _BLOCK, read-only: a prefix of one kept arange."""
-    base = _WORK.get("arange")
-    if base is None or len(base) < n:
-        base = _WORK["arange"] = np.arange(min(n + n // 64, _BLOCK), dtype=np.int64)
-        base.setflags(write=False)
-    return base[:n]
-
-
 # One entry, held in a work array: sweeps visit every map of a prime in a row,
 # so the powers are computed once per (p, e), and no p-length table is kept.
 @lru_cache(maxsize=1)
@@ -133,10 +124,17 @@ def _power_table(p: int, e: int) -> np.ndarray:
     the next call with another (p, e): left-to-right square-and-multiply in
     place, every product below p**2 < 2**62, one block at a time through all
     the steps from the base x = start + arange, recomputed into the quotient
-    scratch for each odd step.  The rest follows from (p - x)**e = (-1)**e *
-    x**e; callers that need it mirror."""
+    scratch for each odd step.  The arange is the block of spare1 after the
+    quotient scratch, filled in place by a cumulative sum: a buffer of its
+    own would fault in 256 KB of fresh pages at p ~ 10**6, or none, as the
+    heap left by the import decides.  The rest follows from (p - x)**e =
+    (-1)**e * x**e; callers that need it mirror."""
     n = p // 2 + 1
-    arange, power, q = _arange(min(n, _BLOCK)), _work("power", n), _block(n)
+    m = min(n, _BLOCK)
+    arange, power, q = _work("spare1", 2 * m)[m:], _work("power", n), _block(n)
+    arange.fill(1)
+    arange[0] = 0
+    np.cumsum(arange, out=arange)
     for start in range(0, n, _BLOCK):
         low = power[start : start + _BLOCK]
         np.add(arange[: len(low)], start, out=low)

@@ -14,6 +14,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from operator import attrgetter
 
 import numpy as np
@@ -435,16 +436,18 @@ def check_decomposition_geometry() -> str:
                  f"direct infinity {report.direct_infinity_count} != gcd^(k-1)={expected_inf} "
                  f"at p={p}, k={k}")
         graph_list = graphs.enumerate_complete_proper(N - 1, k, 2)
-        for g in graph_list:
-            weil = curves.weil_check(f, g, k, N)
-            _require(weil.ok, f"Weil deviation {weil.deviation} at p={p}, k={k}, N={N}, "
-                              f"graph {g.canonical()}")
-        for i, g1 in enumerate(graph_list):
-            for g2 in graph_list[i + 1:]:
-                inter = curves.intersection_check(f, g1, g2, k, N)
-                _require(inter.ok and inter.sets_differ,
-                         f"intersection bound {inter.common} > {inter.bound} at p={p}, k={k}, "
-                         f"N={N}, graphs {g1.canonical()} and {g2.canonical()}")
+        counts, common = curves.graph_counts(f, graph_list)
+        bound = f.d ** (2 * k * N)
+        for g, (affine, infinity) in zip(graph_list, counts):
+            deviation = curves.weil_deviation(p, affine + infinity)
+            _require(deviation <= bound, f"Weil deviation {deviation} at p={p}, k={k}, N={N}, "
+                                         f"graph {g.canonical()}")
+        for (i, g1), (j, g2) in combinations(enumerate(graph_list), 2):
+            # equal point sets share every point, and an empty one differs from all
+            same = 0 < common[i, j] == common[i, i] == common[j, j]
+            _require(common[i, j] <= bound and not same,
+                     f"intersection bound {common[i, j]} > {bound} at p={p}, k={k}, "
+                     f"N={N}, graphs {g1.canonical()} and {g2.canonical()}")
     return "union, moments, Weil and Bezout bounds hold"
 
 

@@ -80,6 +80,10 @@ MUTANTS = [
            "np.add(arange[: len(low)], start, out=q[: len(low)])",
            "np.add(arange[: len(low)], start + _BLOCK, out=q[: len(low)])",
            (T_DYN + "test_degree_two_kernels_at_the_block_seams",)),
+    Mutant("power-table-arange-from-one", DYNAMICS,
+           "arange[0] = 0", "arange[0] = 1",
+           (T_DYN + "test_power_table_matches_builtin_pow",
+            T_DYN + "test_degree_two_kernels_at_the_block_seams")),
     Mutant("graph-stats-one-doubling-round-short", DYNAMICS,
            "for _ in range(m1.bit_length()):", "for _ in range(m1.bit_length() - 1):",
            (T_DYN + "test_graph_stats_single_fixed_point_with_longest_tail",
@@ -106,6 +110,17 @@ MUTANTS = [
     Mutant("slab-union-reset-at-each-graph", CURVES,
            "union |= grid", "union = grid",
            (T_CURVES + "test_decomposition_matrix", SLABS)),
+    Mutant("count-walk-common-from-triple-cover", CURVES,
+           "shared = np.flatnonzero(cover > 1)", "shared = np.flatnonzero(cover > 2)",
+           (SLABS, T_CURVES + "test_intersection_check",
+            T_CURVES + "test_mask_algebra_matches_tuple_sets")),
+    Mutant("count-walk-common-against-the-next-graph", CURVES,
+           "common += member @ member.T", "common += member @ np.roll(member, 1, axis=0).T",
+           (SLABS, T_CURVES + "test_mask_algebra_matches_tuple_sets")),
+    Mutant("count-walk-infinity-counted-as-affine", CURVES,
+           "counts[:, int(at_infinity)] +=", "counts[:, 0] +=",
+           (SLABS, T_CURVES + "test_count_curve_points_conic", T_CURVES + "test_count_cr_points",
+            T_CURVES + "test_cli_curves_and_decomp_bytes_pinned")),
     Mutant("image-zero-count-off-by-one", "src/polyiter/cli.py",
            '"zero_preimages": args.p - size', '"zero_preimages": args.p - size + 1',
            (T_LAB + "test_cli_image_counts_without_the_full_domain_histogram",)),

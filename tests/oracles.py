@@ -6,8 +6,9 @@ import json
 
 import numpy as np
 
-from polyiter import dynamics
+from polyiter import curves, dynamics
 from polyiter.field import FieldParams
+from polyiter.graphs import IterGraph
 from polyiter.report import _cell, _ratio
 
 
@@ -91,3 +92,28 @@ def render_json(records: list[tuple], fieldnames: list[str], metadata: dict | No
         "records": [dict(zip(fieldnames, rec, strict=True)) for rec in records],
     }
     return json.dumps(payload, indent=2, default=_ratio) + "\n"
+
+
+def chart_masks(f: FieldParams, k: int, equations: list) -> tuple[np.ndarray, np.ndarray]:
+    """The full-grid oracle: (affine, infinity), the whole chart masks of one
+    system's point set, each chart walked by curves._scan as one slab.
+
+    affine is the x0 = 1 grid, shape (p,)*k, cell x the point (1, *x).
+    infinity holds the x0 = 0 points whose first nonzero coordinate is 1 as
+    one flat mask: the slices grid[0, ..., 0, 1] with lead = 1..k indices
+    (p**(k-lead) cells each), raveled and concatenated in lead order.
+    """
+    p = f.p
+    curves._check_budget(p, k)
+    slabs = {False: [], True: []}
+    for at_infinity, grids in curves._scan(f, k, [equations], p**k):
+        slabs[at_infinity].append(next(grids).ravel())
+    return np.concatenate(slabs[False]).reshape((p,) * k), np.concatenate(slabs[True])
+
+
+def graph_masks(f: FieldParams, g: IterGraph) -> tuple[np.ndarray, np.ndarray]:
+    return chart_masks(f, g.k, curves._graph_equations(g))
+
+
+def cr_masks(f: FieldParams, N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    return chart_masks(f, k, curves._cr_equations(N, k))

@@ -109,11 +109,13 @@ def test_criterion_6_geometric_decomposition():
             rows.append((p, 2, 1, k, report.formula_infinity_term,
                          report.direct_infinity_count, expected))
             graph_list = graphs.enumerate_complete_proper(0, k, 2)
-            for g in graph_list:
-                assert curves.weil_check(f, g, k, 1).ok
-            for i, g1 in enumerate(graph_list):
-                for g2 in graph_list[i + 1:]:
-                    assert curves.intersection_check(f, g1, g2, k, 1).ok
+            counts, common = curves.graph_counts(f, graph_list)
+            bound = 2 ** (2 * k * 1)
+            for affine, infinity in counts:
+                assert curves.weil_deviation(p, affine + infinity) <= bound
+            for i in range(len(graph_list)):
+                for j in range(i + 1, len(graph_list)):
+                    assert common[i, j] <= bound
         print("infinity-term discrepancy table:")
         print(" ".join(header))
         for row in rows:

@@ -472,21 +472,32 @@ def test_moment_tree_and_geometry_checks_name_their_failing_instance(monkeypatch
 
     # decomposition at p = 13, k = 2, N = 1 over the graphs of level 0
     g1, g2 = graphs.enumerate_complete_proper(0, 2, 2)
-    weil_check, intersection_check = curves.weil_check, curves.intersection_check
-    decomposition_check = curves.decomposition_check
-    monkeypatch.setattr(curves, "weil_check", lambda f, g, k, N: dataclasses.replace(
-        weil_check(f, g, k, N), deviation=1e9) if (f.p, g) == (13, g2) else weil_check(f, g, k, N))
+    graph_counts, decomposition_check = curves.graph_counts, curves.decomposition_check
+
+    def at_13(change):
+        def patched(f, graph_list):
+            counts, common = graph_counts(f, graph_list)
+            return change(counts, common.copy()) if f.p == 13 else (counts, common)
+        return patched
+
+    def far_second(counts, common):
+        return [counts[0], (10**6, 0)], common
+
+    def crowded_pair(counts, common):
+        common[0, 1] = common[1, 0] = 10**6
+        return counts, common
+
+    monkeypatch.setattr(curves, "graph_counts", at_13(far_second))
     with pytest.raises(lab.CheckFailed, match=re.escape(
-            f"Weil deviation 1000000000.0 at p=13, k=2, N=1, graph {g2.canonical()}") + "$"):
+            f"Weil deviation {curves.weil_deviation(13, 10**6)} at p=13, k=2, N=1, "
+            f"graph {g2.canonical()}") + "$"):
         lab.check_decomposition_geometry()
-    monkeypatch.setattr(curves, "weil_check", weil_check)
-    monkeypatch.setattr(curves, "intersection_check", lambda f, a, b, k, N: curves.IntersectionReport(
-        common=10**6, bound=16, sets_differ=True) if f.p == 13 else intersection_check(f, a, b, k, N))
+    monkeypatch.setattr(curves, "graph_counts", at_13(crowded_pair))
     with pytest.raises(lab.CheckFailed, match=re.escape(
             f"intersection bound 1000000 > 16 at p=13, k=2, N=1, graphs {g1.canonical()} "
             f"and {g2.canonical()}") + "$"):
         lab.check_decomposition_geometry()
-    monkeypatch.setattr(curves, "intersection_check", intersection_check)
+    monkeypatch.setattr(curves, "graph_counts", graph_counts)
     monkeypatch.setattr(curves, "decomposition_check", lambda f, N, k: dataclasses.replace(
         decomposition_check(f, N, k), direct_infinity_count=0) if (f.p, k) == (5, 3)
         else decomposition_check(f, N, k))

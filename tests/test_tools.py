@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import os
 
@@ -6,8 +7,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
+def _load(name, folder="tools"):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, folder, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -45,3 +46,12 @@ def test_ab_summary_verdicts():
     assert ab.summarize(PARENT, CHANGE, "higher", 0.25)["verdict"] == "worse"
     with pytest.raises(ValueError):
         ab.summarize([1.0], [1.0], "lower", 0.1)
+
+
+def test_every_traced_target_exists():
+    # the tracer wraps each target by name at install, so a function renamed
+    # or removed from the package would stop `perfbench/run.py --trace 1`
+    tracing = _load("tracing", "perfbench")
+    missing = [f"{module}.{name}" for module, name, _ in tracing.TARGETS
+               if not callable(getattr(importlib.import_module(f"polyiter.{module}"), name, None))]
+    assert tracing.TARGETS and not missing
