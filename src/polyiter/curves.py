@@ -7,7 +7,7 @@ full (p,)*k grid; on x0 = 0 only the slices whose first nonzero coordinate is
 number of systems at once, so no count holds a grid, only a slab: the
 decomposition check ORs a slab's graph grids and compares them with C_N's,
 and the count walk sums each system's cells and each pair's common cells.
-Exactness over cleverness; budget guards keep the walks at desk scale.
+Exactness over cleverness; one byte budget keeps the walks at desk scale.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ from .errors import BudgetError
 from .field import FieldParams, primitive_dth_root
 from .graphs import IterGraph, enumerate_complete_proper
 
-# Largest prime per tuple size; beyond this the chart scans stop being desk scale.
-MAX_P_BY_K = {1: 211, 2: 211, 3: 101}
+# Bytes a walk over n systems may charge: one per grid cell it builds, n * (p**k
+# + (p**k - 1)/(p - 1)), plus 16 * n**2 for the count walk's two int64 n x n pair
+# matrices.  The largest walk the tests, verify and perfbench run charges 1.36e8.
+CHART_BYTE_CAP = 1 << 28
 
 # Cells of all systems' grids in one slab of a chart walk, rounded down to
 # whole rows and at least one row.
@@ -62,13 +64,17 @@ def _iterate_table(f: FieldParams, level: int, at_infinity: bool) -> np.ndarray:
     return _map_table(p, (d**level - 1) % (p - 1) + 1, scale, 0)
 
 
-def _check_budget(p: int, k: int) -> None:
+def _check_budget(p: int, k: int, n: int) -> None:
+    """Refuse a walk over n systems past CHART_BYTE_CAP before it builds
+    anything; it charges at least p**k >= 2**k, so a large k never forms p**k."""
     if k < 1:
         raise ValueError(f"point counting needs k >= 1, got k={k}")
-    if k not in MAX_P_BY_K:
-        raise BudgetError(f"point counting supports k <= 3, got k={k}")
-    if p > MAX_P_BY_K[k]:
-        raise BudgetError(f"p={p} exceeds point-counting budget {MAX_P_BY_K[k]} for k={k}")
+    if k >= CHART_BYTE_CAP.bit_length():
+        raise BudgetError(f"chart walk at k={k} charges at least 2**k bytes, cap {CHART_BYTE_CAP}")
+    charged = n * (p**k + (p**k - 1) // (p - 1)) + 16 * n * n
+    if charged > CHART_BYTE_CAP:
+        raise BudgetError(f"chart walk of {n} systems at p={p}, k={k} charges {charged} bytes, "
+                          f"cap {CHART_BYTE_CAP}")
 
 
 def _chart(
@@ -171,8 +177,8 @@ def _count(
     product of the systems' membership at those cells, its diagonal each
     system's total.
     """
-    _check_budget(f.p, k)
     n = len(systems)
+    _check_budget(f.p, k, n)
     counts = np.zeros((n, 2), dtype=np.int64)
     common = np.zeros((n, n), dtype=np.int64)
     for at_infinity, grids in _scan(f, k, systems, SLAB_CELLS // n):
@@ -231,8 +237,9 @@ def decomposition_check(f: FieldParams, N: int, k: int) -> DecompositionReport:
     """
     if N < 0:
         raise ValueError("decomposition needs N >= 0 (graphs live at level N-1)")
-    _check_budget(f.p, k)
+    _check_budget(f.p, k, 1)  # C_N's walk alone, before any graph is enumerated
     systems = [_graph_equations(g) for g in enumerate_complete_proper(N - 1, k, f.d)]
+    _check_budget(f.p, k, len(systems) + 1)
     union_total, cr_counts, union_equals_cr = 0, [0, 0], True
     # C_N's grid is built last, after the union's, so a slab holds three grids
     for at_infinity, grids in _scan(f, k, [*systems, _cr_equations(N, k)], SLAB_CELLS):

@@ -69,14 +69,6 @@ class IterGraph:
     def __hash__(self) -> int:
         return hash(self.canonical())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IterGraph):
-            return NotImplemented
-        return (
-            (self.k, self.r, self.d) == (other.k, other.r, other.d)
-            and self.edges == other.edges
-        )
-
 
 def parse_canonical(text: str) -> IterGraph:
     """Inverse of IterGraph.canonical()."""

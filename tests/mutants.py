@@ -121,6 +121,18 @@ MUTANTS = [
            "counts[:, int(at_infinity)] +=", "counts[:, 0] +=",
            (SLABS, T_CURVES + "test_count_curve_points_conic", T_CURVES + "test_count_cr_points",
             T_CURVES + "test_cli_curves_and_decomp_bytes_pinned")),
+    Mutant("chart-budget-without-pair-matrix", CURVES,
+           "+ 16 * n * n", "",
+           (T_LAB + "test_cli_exit_codes",)),
+    Mutant("chart-budget-charges-one-system", CURVES,
+           "charged = n * (p**k", "charged = (p**k",
+           (T_LAB + "test_cli_exit_codes",)),
+    Mutant("chart-budget-works-out-p-to-the-k-at-any-k", CURVES,
+           "if k >= CHART_BYTE_CAP.bit_length():", "if False:",
+           (T_CURVES + "test_budget_guards",)),
+    Mutant("decomposition-budget-charges-c-n-only", CURVES,
+           "_check_budget(f.p, k, len(systems) + 1)", "_check_budget(f.p, k, 1)",
+           (T_LAB + "test_cli_exit_codes",)),
     Mutant("image-zero-count-off-by-one", "src/polyiter/cli.py",
            '"zero_preimages": args.p - size', '"zero_preimages": args.p - size + 1',
            (T_LAB + "test_cli_image_counts_without_the_full_domain_histogram",)),

@@ -104,7 +104,7 @@ def chart_masks(f: FieldParams, k: int, equations: list) -> tuple[np.ndarray, np
     (p**(k-lead) cells each), raveled and concatenated in lead order.
     """
     p = f.p
-    curves._check_budget(p, k)
+    curves._check_budget(p, k, 1)
     slabs = {False: [], True: []}
     for at_infinity, grids in curves._scan(f, k, [equations], p**k):
         slabs[at_infinity].append(next(grids).ravel())

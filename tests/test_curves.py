@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 from dataclasses import dataclass
 from itertools import combinations
@@ -296,7 +297,7 @@ def test_irreducibility_probe_matches_naive_scan():
 @pytest.mark.parametrize("p, d, N, k, A, C", [
     (13, 2, 2, 3, 3, 7), (37, 3, 1, 3, 2, 5), (29, 4, 1, 3, 5, 2), (13, 4, 2, 2, 3, 1),
     (61, 3, 2, 2, 7, 11), (101, 5, 1, 3, 4, 9), (41, 4, 2, 2, 2, 3), (17, 2, 2, 3, 1, 1),
-    (97, 3, 1, 2, 5, 6), (31, 3, 2, 2, 1, 4),
+    (97, 3, 1, 2, 5, 6), (31, 3, 2, 2, 1, 4), (211, 3, 1, 3, 3, 7), (13, 3, 2, 4, 3, 7),
 ])
 def test_decomposition_matrix(p, d, N, k, A, C):
     report = curves.decomposition_check(poly_map(p, d, A, C), N, k)
@@ -355,10 +356,9 @@ def test_decomposition_slabs_match_the_full_grid_masks(case):
     assert np.array_equal(common, flat @ flat.T)
 
 
-def test_decomposition_traced_peak_is_a_slab_not_a_grid(monkeypatch):
+def test_decomposition_traced_peak_is_a_slab_not_a_grid():
     # 2.98 and 27.0 MiB when the check held whole (p,)*k chart grids
     for p, d, mib in ((101, 5, 1.5), (211, 3, 4)):
-        monkeypatch.setitem(curves.MAX_P_BY_K, 3, p)
         f = poly_map(p, d, 3, 5)
         tracemalloc.start()
         try:
@@ -494,7 +494,10 @@ def test_mask_algebra_matches_tuple_sets(p, d):
 
 
 # exit code and sha256 of stdout + stderr of `polyiter curves|decomp --A 3
-# --C 7`, recorded from the tuple-set implementation that the masks replaced
+# --C 7`, recorded from the tuple-set implementation that the masks replaced.
+# The four (211, 3, N, 3) rows were recorded again when CHART_BYTE_CAP came
+# to admit N = 1 (each graph's counts checked against graph_masks first) and
+# to refuse N = 2 with its own message
 CLI_PINS = [
     ("curves", 13, 2, 1, 2, 0,
      "15c1607495a2c918f1432c13b6b1fff9d8d95a59d3bb9960a9be3fa11db01fb4"),
@@ -532,18 +535,18 @@ CLI_PINS = [
      "a2ab4545ffdf7b3dfce82835ef611a37a256c194c04061a8d719084743c356dd"),
     ("decomp", 211, 3, 1, 2, 0,
      "23b2e55534d02824b22971b825413afa721f5d398b8302fd079c762e68b4a2bd"),
-    ("curves", 211, 3, 1, 3, 3,
-     "8f477967e9669a0b9864c797c245f2c8ff248a7dd94713deb6cdd1f04df319b1"),
-    ("decomp", 211, 3, 1, 3, 3,
-     "8f477967e9669a0b9864c797c245f2c8ff248a7dd94713deb6cdd1f04df319b1"),
+    ("curves", 211, 3, 1, 3, 0,
+     "9a1202af0a643485e47d89f24414b2c67ffd0f365f07a5bbbb3d40100f7ba98e"),
+    ("decomp", 211, 3, 1, 3, 0,
+     "87ff68545f7fdd86748fab175074e82484fcb42ff7abec161d4491f3f49b43ef"),
     ("curves", 211, 3, 2, 2, 0,
      "96b12639ec0ea82f0fbd36a892ab82770920ab454d9c9c3680af05bb0d022616"),
     ("decomp", 211, 3, 2, 2, 0,
      "0a172dfe9113885f626437c051ef9484a1063eac8e07339848f805f0b40b9c5d"),
     ("curves", 211, 3, 2, 3, 3,
-     "8f477967e9669a0b9864c797c245f2c8ff248a7dd94713deb6cdd1f04df319b1"),
+     "1e85dbfd3075de6bbe4e5dd08cbecf543b1657bdc2fac9fd82b19513dbafde29"),
     ("decomp", 211, 3, 2, 3, 3,
-     "8f477967e9669a0b9864c797c245f2c8ff248a7dd94713deb6cdd1f04df319b1"),
+     "282a356b2b429c28d0f27639caac5453dec4bba6ea7513de211ea056acdff2f6"),
     ("curves", 7, 3, 1, 2, 0,
      "722511a985875d05e11f270abfa3c5afc2b73a34c56cbdaafd563462ca8cec9b"),
     ("decomp", 7, 3, 1, 2, 0,
@@ -654,17 +657,30 @@ def test_solution_graphs_are_proper_and_enumerated():
         assert seen  # the level/twist labeling really fires
 
 
-def test_budget_guards():
-    f_large = poly_map(223, 2, 1, 1)
+def walk_refused(*args):
+    raise AssertionError("a chart walk past the budget was started")
+
+
+def test_budget_guards(monkeypatch):
+    # one-system walks past CHART_BYTE_CAP = 2.68e8 bytes, refused before any
+    # chart is built: 2.69e8 at (p, k) = (16411, 2), 1.03e9 at (1009, 3) and
+    # 2.97e8 at (131, 4)
+    monkeypatch.setattr(curves, "_scan", walk_refused)
+    f_large = poly_map(16411, 2, 1, 1)
     with pytest.raises(BudgetError):
         curves.count_curve_points(f_large, LINE)
     with pytest.raises(BudgetError):
         curves.count_cr_points(f_large, 1, 2)
-    f3 = poly_map(103, 2, 1, 1)
     with pytest.raises(BudgetError):
-        curves.count_cr_points(f3, 1, 3)
+        curves.count_cr_points(poly_map(1009, 2, 1, 1), 1, 3)
     with pytest.raises(BudgetError):
-        curves.count_cr_points(F5, 1, 4)
+        curves.count_cr_points(poly_map(131, 2, 1, 1), 1, 4)
+    # a walk charges at least 2**k bytes, so k = 10**7 is refused before the
+    # 5**k cells of one system are worked out (5 s)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        curves._check_budget(5, 10**7, 1)
+    assert time.perf_counter() - start < 1
 
 
 @st.composite

@@ -803,12 +803,24 @@ def test_cli_sweep_bytes_pinned(capsys, name, d, fmt, digest):
     assert hashlib.sha256((out + err).encode()).hexdigest() == digest
 
 
-def test_cli_exit_codes(capsys):
+def test_cli_exit_codes(capsys, monkeypatch):
     # invalid configuration: p not prime
     assert cli.main(["image", "--p", "6", "--d", "2", "--A", "1", "--C", "1"]) == 2
-    # budget exceeded: p above the point-counting cap
-    assert cli.main(["curves", "--p", "499", "--d", "2", "--A", "1", "--C", "1",
-                     "--N", "1", "--k", "2"]) == 3
+    # budget exceeded: chart walks past CHART_BYTE_CAP = 2.68e8 bytes, refused
+    # before any chart is built and with nothing written.  The 2,500 graphs at
+    # d = 50 charge 2.7e9 bytes of cells; the 5,001 one-edge graphs at N = 5000
+    # charge 4.0e8 bytes in their two int64 pair matrices alone
+    def walk(*args):
+        raise AssertionError("a chart walk past the budget was started")
+    monkeypatch.setattr(curves, "_scan", walk)
+    capsys.readouterr()
+    for cmd, p, d, N, k in (("curves", 101, 50, 1, 3), ("decomp", 101, 50, 1, 3),
+                            ("curves", 5, 2, 5000, 2)):
+        start = time.perf_counter()
+        assert cli.main([cmd, "--p", str(p), "--d", str(d), "--A", "1", "--C", "1",
+                         "--N", str(N), "--k", str(k)]) == 3
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().out == ""
     # invalid configuration: malformed graphs and a negative moment order
     curves_args = ["curves", "--p", "5", "--d", "2", "--A", "1", "--C", "1"]
     assert cli.main([*curves_args, "--graph", "2 0 2; 1-3:0,1"]) == 2  # vertex out of range
