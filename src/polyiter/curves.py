@@ -218,6 +218,7 @@ def count_cr_points(f: FieldParams, N: int, k: int) -> tuple[int, int]:
     """(affine, infinity) point count of the equal-N-th-iterates system."""
     if N < 0:
         raise ValueError("depth must be nonnegative")
+    _check_budget(f.p, k, 1)  # before the k - 1 equations are built
     return _count(f, k, [_cr_equations(N, k)])[0][0]
 
 

@@ -272,19 +272,28 @@ def enumerate_complete_proper(r: int, k: int, d: int) -> list[IterGraph]:
 
     Backtracks over edges in lexicographic pair order, pruning as soon as a
     fully-labeled triangle breaks the triangle rules, so the cap guards the
-    raw label space rather than visited nodes.
+    raw label space rather than visited nodes.  It is read from k alone,
+    before any pair is built.  Level -1 has one label, so its one graph, all
+    edges at level -1, is built directly and the cap guards its edge count.
     """
     check_degree_level(d, r)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k <= 1:
         return [IterGraph(k=k, r=r, d=d)]
-    pairs = [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
+    n_pairs = k * (k - 1) // 2
+    if r == -1:
+        if n_pairs > ENUMERATION_CAP:
+            raise BudgetError(f"{n_pairs} edges exceed enumeration cap {ENUMERATION_CAP}")
+        edges = dict.fromkeys(combinations(range(1, k + 1), 2), (-1, 0))
+        return [IterGraph(k=k, r=r, d=d, edges=edges)]
     options = _label_options(r, d)
-    if len(options) ** len(pairs) > ENUMERATION_CAP:
-        raise BudgetError(
-            f"label space {len(options)}**{len(pairs)} exceeds enumeration cap {ENUMERATION_CAP}"
-        )
+    # two or more labels give at least 2**n_pairs assignments, so the power is
+    # formed only for fewer pairs than the cap has bits
+    if n_pairs >= ENUMERATION_CAP.bit_length() or len(options) ** n_pairs > ENUMERATION_CAP:
+        raise BudgetError(f"label space {len(options)}**{n_pairs} exceeds enumeration cap "
+                          f"{ENUMERATION_CAP}")
+    pairs = list(combinations(range(1, k + 1), 2))
     out: list[IterGraph] = []
     labels: Labels = {}
 

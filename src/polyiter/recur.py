@@ -105,22 +105,26 @@ def check_degree_level(d: int, r: int) -> None:
 def e_coeffs(d: int, r: int) -> CoeffTable:
     """Coefficient vector of the level-r exponential series.
 
-    Level -1 is the bare exponential (v[1] = 1).  Each later level is the
-    d-fold exponent convolution of the previous vector, divided by d, with
-    (d-1)/d added at index 0.
+    Level -1 is the bare exponential (v[1] = 1).  Each later level L' is
+    ((d-1) + L**d)/d of the level L before it, so level 0 is
+    ((d-1) + s)/d in s = e^(d*X), and every level r >= 0 is a polynomial of
+    degree d**r in s: v[m] = 0 unless d divides m.
 
-    The levels are integer numerators num over one common denominator den,
-    which grows as den -> d * den**d.  The self-convolution is one big-int
-    power by Kronecker substitution: num is packed into an int with a slot of
-    width bytes per coefficient, raised to the d, and unpacked.  The slots
-    never carry: the numerators are nonnegative and sum to den, so every
-    coefficient of the power is at most den**d, which fits in width bytes.
+    From level 0 on, the coefficients in s are integer numerators num over
+    one common denominator den, which grows as den -> d * den**d.  The d-th
+    power is one big-int power by Kronecker substitution: num is packed into
+    an int with a slot of width bytes per coefficient, raised to the d, and
+    unpacked.  The slots never carry: the numerators are nonnegative and sum
+    to den, so every coefficient of the power is at most den**d, which fits
+    in width bytes.  The numerators are spread to v[0], v[d], v[2d], ...
     """
     check_degree_level(d, r)
     if d ** (r + 1) > COEFF_TABLE_CAP:
         raise BudgetError(f"coefficient table size d**{r + 1} exceeds cap {COEFF_TABLE_CAP}")
-    num, den = [0, 1], 1
-    for _ in range(r + 1):
+    if r == -1:
+        return CoeffTable(d=d, r=r, v=(Fraction(0), Fraction(1)))
+    num, den = [d - 1, 1], d
+    for _ in range(r):
         den_d = den**d
         width = (den_d.bit_length() + 7) // 8
         packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in num), "little")
@@ -128,7 +132,9 @@ def e_coeffs(d: int, r: int) -> CoeffTable:
         num = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
         num[0] += (d - 1) * den_d
         den = d * den_d
-    return CoeffTable(d=d, r=r, v=tuple(Fraction(c, den) for c in num))
+    v = [Fraction(0)] * (d * (len(num) - 1) + 1)
+    v[::d] = [Fraction(c, den) for c in num]
+    return CoeffTable(d=d, r=r, v=tuple(v))
 
 
 @lru_cache(maxsize=None)

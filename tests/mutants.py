@@ -44,6 +44,9 @@ VERIFY_QUICK = T_LAB + "test_verify_all_quick_is_green"
 CURVES = "src/polyiter/curves.py"
 T_CURVES = "tests/test_curves.py::"
 SLABS = T_CURVES + "test_decomposition_slabs_match_the_full_grid_masks"
+RECUR = "src/polyiter/recur.py"
+T_RECUR = "tests/test_recur.py::"
+E_ORACLE = T_RECUR + "test_e_coeffs_match_convolution_oracle"
 
 MUTANTS = [
     Mutant("first-repeat-limit-off-by-one", DYNAMICS,
@@ -133,6 +136,12 @@ MUTANTS = [
     Mutant("decomposition-budget-charges-c-n-only", CURVES,
            "_check_budget(f.p, k, len(systems) + 1)", "_check_budget(f.p, k, 1)",
            (T_LAB + "test_cli_exit_codes",)),
+    Mutant("coeff-level-zero-over-one", RECUR,
+           "num, den = [d - 1, 1], d", "num, den = [d - 1, 1], 1",
+           (E_ORACLE, T_RECUR + "test_e_coeffs_invariants")),
+    Mutant("coeff-slot-one-byte-short", RECUR,
+           "width = (den_d.bit_length() + 7) // 8", "width = (den_d.bit_length() + 7) // 8 - 1",
+           (E_ORACLE, T_RECUR + "test_e_coeffs_invariants")),
     Mutant("image-zero-count-off-by-one", "src/polyiter/cli.py",
            '"zero_preimages": args.p - size', '"zero_preimages": args.p - size + 1',
            (T_LAB + "test_cli_image_counts_without_the_full_domain_histogram",)),

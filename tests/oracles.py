@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 
@@ -10,6 +11,23 @@ from polyiter import curves, dynamics
 from polyiter.field import FieldParams
 from polyiter.graphs import IterGraph
 from polyiter.report import _cell, _ratio
+
+
+def dense_e_coeffs(d: int, r: int) -> tuple[Fraction, ...]:
+    """The level-r coefficient table over every index, zeros included: from
+    num = [0, 1], den = 1 at level -1, r + 1 Kronecker powers of all
+    d**(level+1) + 1 numerators, each packed in slots of the byte length of
+    den**d, with (d-1) * den**d added at index 0 and den -> d * den**d."""
+    num, den = [0, 1], 1
+    for _ in range(r + 1):
+        den_d = den**d
+        width = (den_d.bit_length() + 7) // 8
+        packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in num), "little")
+        raw = (packed**d).to_bytes(width * (d * (len(num) - 1) + 1), "little")
+        num = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+        num[0] += (d - 1) * den_d
+        den = d * den_d
+    return tuple(Fraction(c, den) for c in num)
 
 
 def eval_map(f: FieldParams, x: int) -> int:

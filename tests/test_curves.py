@@ -681,6 +681,11 @@ def test_budget_guards(monkeypatch):
     with pytest.raises(BudgetError):
         curves._check_budget(5, 10**7, 1)
     assert time.perf_counter() - start < 1
+    # likewise k = 10**9 for C_N, before its k - 1 equations are built
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        curves.count_cr_points(F5, 1, 10**9)
+    assert time.perf_counter() - start < 1
 
 
 @st.composite

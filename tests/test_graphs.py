@@ -283,6 +283,32 @@ def test_enumeration_cap():
         graphs.enumerate_complete_proper(3, 5, 3)
 
 
+def test_enumeration_cap_refuses_from_k_alone(monkeypatch):
+    # at k = 100000 there are 4,999,950,000 pairs: 2**4999950000 labelings at
+    # r = 0, 7**4999950000 at d = 3, r = 2, and at r = -1 one graph of that
+    # many edges, each refused before any pair is built
+    def no_pairs(*args):
+        raise AssertionError("pairs built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "combinations", no_pairs)
+        for r, d in ((0, 2), (2, 3), (-1, 2)):
+            start = time.perf_counter()
+            with pytest.raises(BudgetError):
+                graphs.enumerate_complete_proper(r, 100_000, d)
+            assert time.perf_counter() - start < 1
+    # at r = -1 the cap reads the edge count: 10 pairs at k = 5, 15 at k = 6
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "ENUMERATION_CAP", 10)
+        assert len(graphs.enumerate_complete_proper(-1, 5, 2)[0].edges) == 10
+        with pytest.raises(BudgetError):
+            graphs.enumerate_complete_proper(-1, 6, 2)
+    # level -1's one graph is built without recursion, so 1225 edges pass
+    (only,) = graphs.enumerate_complete_proper(-1, 50, 2)
+    assert only.is_complete() and set(only.edges.values()) == {(-1, 0)}
+    assert graphs.is_proper(only)
+
+
 def test_tree_cap_refuses_before_any_shape_is_built(monkeypatch, capsys):
     # the cap reads Cayley's count k**(k - 2) of labelled trees, the number of
     # Pruefer shapes, so it refuses the same inputs without building them: at

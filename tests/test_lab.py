@@ -821,6 +821,20 @@ def test_cli_exit_codes(capsys, monkeypatch):
                          "--N", str(N), "--k", str(k)]) == 3
         assert time.perf_counter() - start < 2
         assert capsys.readouterr().out == ""
+    # budget exceeded: graph enumerations past ENUMERATION_CAP at k = 100000,
+    # refused from k alone before any pair is built; at N = 0 the one level -1
+    # graph on 50 vertices is built, and its chart walk is past the budget
+    map_args = ["--p", "5", "--d", "2", "--A", "1", "--C", "1"]
+    for argv in (["curves", *map_args, "--N", "1", "--k", "100000"],
+                 ["enum-graphs", "--d", "3", "--r", "2", "--k", "100000"],
+                 ["curves", *map_args, "--N", "0", "--k", "50"]):
+        start = time.perf_counter()
+        assert cli.main(argv) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out == ""
+    assert cli.main(["enum-graphs", "--d", "2", "--r", "-1", "--k", "50"]) == 0
+    edges = "; ".join(f"{a}-{b}:-1,0" for a in range(1, 51) for b in range(a + 1, 51))
+    assert capsys.readouterr().out == f"50 -1 2; {edges}\n"
     # invalid configuration: malformed graphs and a negative moment order
     curves_args = ["curves", "--p", "5", "--d", "2", "--A", "1", "--C", "1"]
     assert cli.main([*curves_args, "--graph", "2 0 2; 1-3:0,1"]) == 2  # vertex out of range

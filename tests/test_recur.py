@@ -8,6 +8,8 @@ import pytest
 from polyiter import recur
 from polyiter.errors import BudgetError
 
+from oracles import dense_e_coeffs
+
 
 def test_mu_sequence_pinned_values():
     assert recur.mu_sequence(2, 3) == (
@@ -150,14 +152,29 @@ def e_coeffs_oracle(d: int, r: int) -> tuple[Fraction, ...]:
     return tuple(v)
 
 
+# every (d, r) with d**(r+1) <= 512 (d = 2 reaches r = 8), plus two tables at
+# the cap with large d
+ORACLE_MATRIX = [(d, r) for d in range(2, 513) for r in range(-1, 9) if d ** (r + 1) <= 512]
+ORACLE_MATRIX += [(64, 1), (4096, 0)]
+
+
 def test_e_coeffs_match_convolution_oracle():
-    # every (d, r) with d**(r+1) <= 512 (d = 2 reaches r = 8), plus two
-    # tables at the cap with large d
-    cases = [(d, r) for d in range(2, 513) for r in range(-1, 9) if d ** (r + 1) <= 512]
-    for d, r in cases + [(64, 1), (4096, 0)]:
+    for d, r in ORACLE_MATRIX:
         table = recur.e_coeffs(d, r)
         assert (table.d, table.r) == (d, r)
         assert table.v == e_coeffs_oracle(d, r), (d, r)
+
+
+def test_e_coeffs_match_the_dense_kronecker_oracle():
+    # past the Fraction matrix: the algebra workload's three tables, and two
+    # more of 2049 and 4097 entries, against the power over every index
+    for d, r in ((2, 9), (3, 5), (4, 4), (2, 10), (16, 2)):
+        assert recur.e_coeffs(d, r).v == dense_e_coeffs(d, r), (d, r)
+    # from level 0 on, each level is a polynomial in e^(d*X)
+    for d, r in ORACLE_MATRIX:
+        if r >= 0:
+            v = recur.e_coeffs(d, r).v
+            assert not any(v[m] for m in range(len(v)) if m % d), (d, r)
 
 
 def test_e_coeffs_cap():
